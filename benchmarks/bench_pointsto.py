@@ -1,41 +1,55 @@
-"""Cold-path benchmark: full-pipeline latency and solver comparison.
+"""Cold-path benchmark: full-pipeline latency and the solver's share.
 
-Measures, for the four mid-size suite programs:
+Measures, for the four mid-size suite programs and the four
+grammar-generated ``tests/scale/`` programs:
 
 * **cold analysis** — :func:`repro.analyze` end to end (parse →
-  type-check → IR → SSA → points-to → SDG), best of 7 in-process runs,
-  against the pre-optimization baseline recorded below;
-* **solver head-to-head** — the optimized cycle-collapsing solver vs
-  the reference fixpoint on the same IR;
-* **tabulation demand** — path edges for a single-seed slice under
-  demand-driven summaries vs whole-program summaries.
+  type-check → IR → SSA → points-to → SDG), best of 7 in-process runs;
+  suite programs are compared against the pre-optimization baseline
+  recorded below;
+* **solver** — :func:`repro.analysis.pointsto.solve_points_to` alone on
+  the same IR, best of 3, and its share of the cold analysis;
+* **tabulation demand** (suite programs only) — path edges for a
+  single-seed slice under demand-driven summaries vs whole-program
+  summaries.  Whole-program summaries of the scale programs take
+  minutes (``scale_s303_x14``: ~100 s, 9.0M path edges), so those rows
+  leave the columns empty.
 
 Emits a human table (``results/pointsto_cold_path.txt``) and a
-machine-readable point (``results/BENCH_pointsto.json``).
+machine-readable point (``results/BENCH_pointsto.json``) that records
+``cpu_count``, the Python version and the commit it was measured at.
 
-Baseline methodology: commit 013a119 (before this optimization round),
-same best-of-7 in-process loop, same machine class.  Wall-clock noise
-on shared runners is ±30%, so treat per-program speedups as indicative
-and the cross-program median as the headline number.
+Baseline methodology: commit 013a119 (before the first cold-path
+optimization round), same best-of-7 in-process loop, same machine
+class.  Wall-clock noise on shared runners is ±30%, so treat
+per-program speedups as indicative and the cross-program median as the
+headline number.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
+import subprocess
 import time
+from pathlib import Path
 
 from _util import emit, format_table
 from repro import analyze
 from repro.analysis.modref import compute_modref
 from repro.analysis.pointsto import solve_points_to
-from repro.analysis.pointsto_reference import solve_points_to_reference
 from repro.frontend import compile_source
 from repro.sdg.sdg import build_sdg
 from repro.slicing.tabulation import TabulationSlicer
 from repro.suite.loader import load_source
 
-PROGRAMS = ["jtopas", "minixml", "minijavac", "parsegen"]
+REPO = Path(__file__).resolve().parent.parent
+SCALE_DIR = REPO / "tests" / "scale"
+
+SUITE = ["jtopas", "minixml", "minijavac", "parsegen"]
+SCALE = ["scale_s101_x6", "scale_s202_x6", "scale_s303_x14", "scale_s404_x14"]
 
 #: Cold-analysis latency (ms) at commit 013a119, best of 7 in-process.
 PRE_PR_BASELINE_MS = {
@@ -46,6 +60,26 @@ PRE_PR_BASELINE_MS = {
 }
 
 RUNS = 7
+
+
+def _source(name: str) -> str:
+    if name in SCALE:
+        return (SCALE_DIR / f"{name}.mj").read_text()
+    return load_source(name)
+
+
+def _commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=REPO,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown (not a git checkout)"
 
 
 def _best_of(thunk, runs: int = RUNS) -> float:
@@ -85,46 +119,51 @@ def test_cold_path_benchmark(results_dir):
     rows = []
     points = {}
     speedups = []
-    for name in PROGRAMS:
-        source = load_source(name)
+    for name in SUITE + SCALE:
+        source = _source(name)
         cold_ms = _best_of(lambda: analyze(source, name))
 
         compiled = compile_source(source, name, include_stdlib=True)
-        fast_ms = _best_of(lambda: solve_points_to(compiled.ir), runs=3)
-        slow_ms = _best_of(
-            lambda: solve_points_to_reference(compiled.ir), runs=3
-        )
+        solver_ms = _best_of(lambda: solve_points_to(compiled.ir), runs=3)
 
-        pts = solve_points_to(compiled.ir)
-        demand_edges, full_edges = _demand_path_edges(compiled, pts)
-
-        baseline = PRE_PR_BASELINE_MS[name]
-        speedup = baseline / cold_ms
-        speedups.append(speedup)
-        points[name] = {
+        point = {
             "cold_ms": round(cold_ms, 1),
-            "baseline_ms": baseline,
-            "speedup": round(speedup, 2),
-            "solver_ms": round(fast_ms, 1),
-            "solver_reference_ms": round(slow_ms, 1),
-            "solver_speedup": round(slow_ms / fast_ms, 2),
-            "path_edges_demand": demand_edges,
-            "path_edges_full": full_edges,
+            "solver_ms": round(solver_ms, 1),
+            "solver_share": round(solver_ms / cold_ms, 2),
         }
+        baseline = PRE_PR_BASELINE_MS.get(name)
+        demand_edges = full_edges = "-"
+        if baseline is not None:
+            speedup = baseline / cold_ms
+            speedups.append(speedup)
+            pts = solve_points_to(compiled.ir)
+            demand_edges, full_edges = _demand_path_edges(compiled, pts)
+            point.update(
+                baseline_ms=baseline,
+                speedup=round(speedup, 2),
+                path_edges_demand=demand_edges,
+                path_edges_full=full_edges,
+            )
+        points[name] = point
         rows.append(
             [
                 name,
-                f"{baseline:.1f}",
+                "-" if baseline is None else f"{baseline:.1f}",
                 f"{cold_ms:.1f}",
-                f"{speedup:.2f}x",
-                f"{fast_ms:.1f}",
-                f"{slow_ms:.1f}",
+                "-" if baseline is None else f"{point['speedup']:.2f}x",
+                f"{solver_ms:.1f}",
+                f"{100 * point['solver_share']:.0f}%",
                 demand_edges,
                 full_edges,
             ]
         )
 
     median_speedup = statistics.median(speedups)
+    environment = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": _commit(),
+    }
     table = format_table(
         [
             "program",
@@ -132,13 +171,14 @@ def test_cold_path_benchmark(results_dir):
             "cold ms",
             "speedup",
             "solver ms",
-            "ref solver ms",
+            "solver %",
             "PE demand",
             "PE full",
         ],
         rows,
     )
-    table += f"\n\nmedian cold-path speedup: {median_speedup:.2f}x"
+    table += f"\n\nmedian cold-path speedup (suite): {median_speedup:.2f}x"
+    table += "\n" + "  ".join(f"{k}={v}" for k, v in environment.items())
     emit(results_dir, "pointsto_cold_path.txt", table)
 
     payload = {
@@ -147,6 +187,7 @@ def test_cold_path_benchmark(results_dir):
         "runs": RUNS,
         "programs": points,
         "median_speedup": round(median_speedup, 2),
+        **environment,
     }
     (results_dir / "BENCH_pointsto.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

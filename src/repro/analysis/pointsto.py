@@ -13,31 +13,19 @@ object-sensitive cloning for objects of key collections classes".
   context-insensitive baseline used for the NoObjSens ablation columns
   of Tables 2 and 3.
 
-The solver here is the optimized one (see ``docs/PERFORMANCE.md``):
-
-* pointer keys and abstract objects are interned to small integers, so
-  points-to sets are sets of ints and the hot loops never re-hash
-  recursive dataclasses;
-* online cycle collapsing — the copy-edge graph (unfiltered subset
-  edges only; cast/param edges with declared-type filters are *not*
-  pure copies and never collapse) is periodically condensed with
-  Tarjan's SCC algorithm over a union-find, so every variable in a
-  copy cycle shares one points-to set;
-* the worklist is a priority queue ordered by the condensation's
-  topological rank (sources first), recomputed at each collapse;
-* difference propagation: only the delta of a points-to set flows along
-  edges, and type-filter verdicts are memoized per ``(object, type)``.
-
-The original straightforward solver is preserved verbatim in
-:mod:`repro.analysis.pointsto_reference`; ``tests/test_differential.py``
-pins this solver to it result-for-result on every suite program.
+The solver is a plain difference-propagating worklist: constraints are
+generated once per method instance as the call graph discovers it, and
+only the delta of a points-to set flows along subset edges.  A variant
+with interned keys, online cycle collapsing and a topologically ranked
+worklist was measured against this one on the suite and on
+``tests/scale/`` and never won by a margin worth its code; see
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.analysis.heapmodel import (
     ARGS_ARRAY_OBJECT,
@@ -89,7 +77,8 @@ class _CallSite:
 
 @dataclass
 class PointsToResult:
-    """Solved points-to sets plus the discovered call graph."""
+    """Solved points-to sets (non-empty ones only) plus the discovered
+    call graph."""
 
     pts: dict[PointerKey, frozenset[AbstractObject]]
     call_graph: CallGraph
@@ -122,14 +111,7 @@ class PointsToResult:
 
 
 class PointsToAnalysis:
-    """Constraint generation + cycle-collapsing worklist solver.
-
-    All solver state is indexed by small integers: ``_keys[i]`` is the
-    pointer key interned as id ``i`` and ``_objs[o]`` the abstract
-    object interned as ``o``.  ``_rep`` is a union-find forest over key
-    ids; every read goes through :meth:`_find`, so after an SCC merge
-    all members transparently share the representative's state.
-    """
+    """On-the-fly constraint generation + difference-propagating worklist."""
 
     def __init__(
         self,
@@ -146,85 +128,22 @@ class PointsToAnalysis:
         self.budget = budget
         self.warm_pts = warm_pts
 
-        # Interning tables.
-        self._key_id: dict[PointerKey, int] = {}
-        self._keys: list[PointerKey] = []
-        self._obj_id: dict[AbstractObject, int] = {}
-        self._objs: list[AbstractObject] = []
-        # Fast-path id caches keyed by plain tuples, so the hot paths
-        # hash C-level tuples of interned strings/ints instead of
-        # constructing and hashing a fresh dataclass key every time.
-        self._var_ids: dict[tuple, int] = {}
-        self._field_ids: dict[tuple[int, str], int] = {}
-
-        # Per-key-id solver state (parallel lists).
-        self._rep: list[int] = []  # union-find parent
-        self._pts: list[set[int]] = []
-        self._pending: list[set[int]] = []  # delta not yet propagated
-        self._copy_out: list[set[int]] = []  # unfiltered subset edges
-        self._filtered_out: list[set[tuple[int, Type]]] = []
-        # Deps are insertion-ordered and deduplicated (dict-as-set).
-        self._load_deps: list[dict[tuple[str, int], None]] = []
-        self._store_deps: list[dict[tuple[str, int, Type | None], None]] = []
-        self._dispatch_deps: list[dict[tuple, _CallSite]] = []
-
-        # Topologically ranked priority worklist.
-        self._rank: list[int] = []
-        self._next_rank = 0
-        self._wl: list[tuple[int, int]] = []
-
-        # Cycle collapsing trigger.
-        self._copy_edges_added = 0
-        self._collapse_threshold = 512
-
-        # Memos.
-        self._passes_memo: dict[tuple[int, Type], bool] = {}
-        self._container_memo: dict[str, bool] = {}
-
+        self._pts: dict[PointerKey, set[AbstractObject]] = defaultdict(set)
+        self._edges: dict[PointerKey, set[tuple[PointerKey, Type | None]]] = (
+            defaultdict(set)
+        )
+        self._pending: dict[PointerKey, set[AbstractObject]] = defaultdict(set)
+        self._worklist: deque[PointerKey] = deque()
+        self._load_deps: dict[PointerKey, list[tuple[str, PointerKey]]] = defaultdict(
+            list
+        )
+        self._store_deps: dict[PointerKey, list[tuple[str, PointerKey, Type | None]]] = (
+            defaultdict(list)
+        )
+        self._dispatch_deps: dict[PointerKey, list[_CallSite]] = defaultdict(list)
         self._processed: set[tuple[str, AbstractObject | None]] = set()
         self._instances: dict[str, set[AbstractObject | None]] = defaultdict(set)
         self.call_graph = CallGraph()
-
-    # ------------------------------------------------------------------
-    # Interning and union-find
-    # ------------------------------------------------------------------
-
-    def _find(self, i: int) -> int:
-        rep = self._rep
-        root = i
-        while rep[root] != root:
-            root = rep[root]
-        while rep[i] != root:  # path compression
-            rep[i], i = root, rep[i]
-        return root
-
-    def _id(self, key: PointerKey) -> int:
-        """Intern ``key`` and return its *representative* id."""
-        i = self._key_id.get(key)
-        if i is None:
-            i = len(self._keys)
-            self._key_id[key] = i
-            self._keys.append(key)
-            self._rep.append(i)
-            self._pts.append(set())
-            self._pending.append(set())
-            self._copy_out.append(set())
-            self._filtered_out.append(set())
-            self._load_deps.append({})
-            self._store_deps.append({})
-            self._dispatch_deps.append({})
-            self._rank.append(self._next_rank)
-            self._next_rank += 1
-            return i
-        return self._find(i)
-
-    def _oid(self, obj: AbstractObject) -> int:
-        o = self._obj_id.get(obj)
-        if o is None:
-            o = len(self._objs)
-            self._obj_id[obj] = o
-            self._objs.append(obj)
-        return o
 
     # ------------------------------------------------------------------
     # Public API
@@ -240,37 +159,23 @@ class PointsToAnalysis:
             # constraint generation below reads the full sets (field
             # load/store expansion and dispatch resolution walk
             # ``self._pts`` directly) and any genuinely new object
-            # still cascades through ``_add_oids`` as usual.  With the
-            # subset premise the solve converges to exactly the least
-            # fixpoint a cold solve reaches.
+            # still cascades through ``_add_objects`` as usual.  With
+            # the subset premise the solve converges to exactly the
+            # least fixpoint a cold solve reaches.
             for key, objects in self.warm_pts.items():
-                k = self._id(key)
-                self._pts[k] |= {self._oid(obj) for obj in objects}
+                self._pts[key] |= objects
         for root in self.program.entry_points():
             self._ensure_instance(root, None)
             function = self.program.functions[root]
             if function.method_name == "main" and function.params:
-                args_key = self._id(VarKey(root, function.params[-1], None))
-                self._add_oids(args_key, {self._oid(ARGS_ARRAY_OBJECT)})
-                self._add_oids(
-                    self._id(FieldKey(ARGS_ARRAY_OBJECT, ARRAY_FIELD)),
-                    {self._oid(STRING_OBJECT)},
+                args_key = VarKey(root, function.params[-1], None)
+                self._add_objects(args_key, {ARGS_ARRAY_OBJECT})
+                self._add_objects(
+                    FieldKey(ARGS_ARRAY_OBJECT, ARRAY_FIELD), {STRING_OBJECT}
                 )
         self._iterate()
-        # Expand representatives back out: every interned key reports
-        # the merged set of its SCC, sharing one frozenset per rep.
-        objs = self._objs
-        fs_cache: dict[int, frozenset[AbstractObject]] = {}
-        pts_out: dict[PointerKey, frozenset[AbstractObject]] = {}
-        for key, i in self._key_id.items():
-            r = self._find(i)
-            fs = fs_cache.get(r)
-            if fs is None:
-                fs = frozenset(objs[o] for o in self._pts[r])
-                fs_cache[r] = fs
-            pts_out[key] = fs
         return PointsToResult(
-            pts=pts_out,
+            pts={k: frozenset(v) for k, v in self._pts.items() if v},
             call_graph=self.call_graph,
             instances=dict(self._instances),
             containers=self.containers,
@@ -280,57 +185,30 @@ class PointsToAnalysis:
     # Worklist machinery
     # ------------------------------------------------------------------
 
-    def _add_oids(self, k: int, oids: set[int]) -> None:
-        """Add object ids to rep ``k``, queueing the delta."""
-        pts = self._pts[k]
-        new = oids - pts
+    def _add_objects(self, key: PointerKey, objs) -> None:
+        new = set(objs) - self._pts[key]
         if not new:
             return
-        pts |= new
-        pending = self._pending[k]
-        if not pending:
-            heappush(self._wl, (self._rank[k], k))
-        pending |= new
+        self._pts[key] |= new
+        if key not in self._pending or not self._pending[key]:
+            self._worklist.append(key)
+        self._pending[key] |= new
 
-    def _add_edge(self, src: int, dst: int, filt: Type | None = None) -> None:
-        """Subset edge between representative ids (self-loops are no-ops:
-        an unfiltered one propagates nothing new and a filtered one only
-        ever selects a subset of what is already there)."""
-        if src == dst:
+    def _add_edge(
+        self, src: PointerKey, dst: PointerKey, filter_type: Type | None = None
+    ) -> None:
+        edge = (dst, filter_type)
+        if edge in self._edges[src]:
             return
-        if filt is None:
-            out = self._copy_out[src]
-            if dst in out:
-                return
-            out.add(dst)
-            self._copy_edges_added += 1
-            existing = self._pts[src]
-            if existing:
-                self._add_oids(dst, existing)
-        else:
-            out = self._filtered_out[src]
-            edge = (dst, filt)
-            if edge in out:
-                return
-            out.add(edge)
-            existing = self._pts[src]
-            if existing:
-                filtered = self._filter_oids(existing, filt)
-                if filtered:
-                    self._add_oids(dst, filtered)
+        self._edges[src].add(edge)
+        existing = self._pts.get(src)
+        if existing:
+            self._add_objects(dst, self._filter(existing, filter_type))
 
-    def _filter_oids(self, oids, filt: Type) -> set[int]:
-        memo = self._passes_memo
-        objs = self._objs
-        result: set[int] = set()
-        for o in oids:
-            verdict = memo.get((o, filt))
-            if verdict is None:
-                verdict = self._passes(objs[o], filt)
-                memo[(o, filt)] = verdict
-            if verdict:
-                result.add(o)
-        return result
+    def _filter(self, objs, filter_type: Type | None):
+        if filter_type is None:
+            return objs
+        return {o for o in objs if self._passes(o, filter_type)}
 
     def _passes(self, obj: AbstractObject, declared: Type) -> bool:
         if isinstance(declared, ClassType):
@@ -346,166 +224,26 @@ class PointsToAnalysis:
         return False
 
     def _iterate(self) -> None:
-        wl = self._wl
-        find = self._find
-        objs = self._objs
         budget = self.budget
-        while wl:
+        while self._worklist:
             if budget is not None:
                 budget.poll()
-            if self._copy_edges_added >= self._collapse_threshold:
-                self._collapse()
-            _, k = heappop(wl)
-            k = find(k)
-            delta = self._pending[k]
+            key = self._worklist.popleft()
+            delta = self._pending.get(key)
             if not delta:
                 continue
-            self._pending[k] = set()
-            for dst in list(self._copy_out[k]):
-                d = find(dst)
-                if d != k:
-                    self._add_oids(d, delta)
-            for dst, filt in list(self._filtered_out[k]):
-                d = find(dst)
-                if d != k:
-                    filtered = self._filter_oids(delta, filt)
-                    if filtered:
-                        self._add_oids(d, filtered)
-            if self._load_deps[k]:
-                for field_name, dest in list(self._load_deps[k]):
-                    d = find(dest)
-                    for o in delta:
-                        self._add_edge(self._fid(o, field_name), d)
-            if self._store_deps[k]:
-                for field_name, src, filt in list(self._store_deps[k]):
-                    s = find(src)
-                    for o in delta:
-                        self._add_edge(s, self._fid(o, field_name), filt)
-            if self._dispatch_deps[k]:
-                for site in list(self._dispatch_deps[k].values()):
-                    for o in delta:
-                        self._resolve_call(site, objs[o])
-
-    # ------------------------------------------------------------------
-    # Online cycle detection
-    # ------------------------------------------------------------------
-
-    def _collapse(self) -> None:
-        """Condense SCCs of the copy-edge graph and re-rank the worklist.
-
-        Only unfiltered edges participate: a filtered edge is not a pure
-        copy (it may drop objects), so collapsing through one would be
-        unsound.  Merging is idempotent downstream — constraint
-        generation, call linking, and edge insertion all dedupe — so a
-        merged representative may conservatively re-propagate its whole
-        set when members disagreed mid-flight.
-        """
-        self._copy_edges_added = 0
-        rep = self._rep
-        find = self._find
-        # Only nodes with outgoing copy edges can sit on a copy cycle;
-        # pure sinks are reached as successors and emitted as singletons.
-        nodes = [
-            i for i, out in enumerate(self._copy_out) if out and rep[i] == i
-        ]
-
-        # Iterative Tarjan over the representative copy graph.
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
-        sccs: list[list[int]] = []
-        succs: dict[int, list[int]] = {}
-        next_index = 0
-        for root in nodes:
-            if root in index:
-                continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = next_index
-                    next_index += 1
-                    stack.append(v)
-                    on_stack.add(v)
-                    succs[v] = [
-                        d
-                        for d in {find(t) for t in self._copy_out[v]}
-                        if d != v
-                    ]
-                recursed = False
-                succ_list = succs[v]
-                while pi < len(succ_list):
-                    w = succ_list[pi]
-                    pi += 1
-                    if w not in index:
-                        work[-1] = (v, pi)
-                        work.append((w, 0))
-                        recursed = True
-                        break
-                    if w in on_stack and index[w] < low[v]:
-                        low[v] = index[w]
-                if recursed:
-                    continue
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        scc.append(w)
-                        if w == v:
-                            break
-                    sccs.append(scc)
-
-        # Tarjan emits SCCs sinks-first; rank sources first so the
-        # worklist drains the condensation in topological order.
-        total = len(sccs)
-        for position, scc in enumerate(sccs):
-            rank = total - position
-            if len(scc) == 1:
-                self._rank[scc[0]] = rank
-                continue
-            scc.sort()
-            r = scc[0]
-            self._rank[r] = rank
-            merged = self._pts[r]
-            uniform = True
-            for m in scc[1:]:
-                if self._pts[m] != merged:
-                    uniform = False
-                    break
-            for m in scc[1:]:
-                rep[m] = r
-                merged |= self._pts[m]
-                self._pending[r] |= self._pending[m]
-                self._copy_out[r] |= self._copy_out[m]
-                self._filtered_out[r] |= self._filtered_out[m]
-                self._load_deps[r].update(self._load_deps[m])
-                self._store_deps[r].update(self._store_deps[m])
-                self._dispatch_deps[r].update(self._dispatch_deps[m])
-                # Free member state; all reads go through _find.
-                self._pts[m] = set()
-                self._pending[m] = set()
-                self._copy_out[m] = set()
-                self._filtered_out[m] = set()
-                self._load_deps[m] = {}
-                self._store_deps[m] = {}
-                self._dispatch_deps[m] = {}
-            if not uniform:
-                # Members saw different prefixes of the merged set;
-                # re-propagate everything once (consumers dedupe).
-                self._pending[r] = set(merged)
-            if self._pending[r]:
-                # Stale member entries in the heap still resolve here
-                # via _find, but a freshly re-pended rep may have none.
-                heappush(self._wl, (rank, r))
-        self._next_rank = max(self._next_rank, total + 1)
-        self._collapse_threshold = max(512, len(self._keys))
+            self._pending[key] = set()
+            for dst, filter_type in list(self._edges[key]):
+                self._add_objects(dst, self._filter(delta, filter_type))
+            for field_name, dest in list(self._load_deps.get(key, ())):
+                for obj in delta:
+                    self._add_edge(FieldKey(obj, field_name), dest)
+            for field_name, src, filt in list(self._store_deps.get(key, ())):
+                for obj in delta:
+                    self._add_edge(src, FieldKey(obj, field_name), filt)
+            for site in list(self._dispatch_deps.get(key, ())):
+                for obj in delta:
+                    self._resolve_call(site, obj)
 
     # ------------------------------------------------------------------
     # Constraint generation
@@ -531,32 +269,14 @@ class PointsToAnalysis:
                 for instr in block.instructions:
                     if isinstance(instr, ins.Throw):
                         self._add_edge(
-                            self._id(VarKey(fn_name, instr.value, context)),
-                            self._id(
-                                VarKey(fn_name, region.catch_entry.dest, context)
-                            ),
+                            VarKey(fn_name, instr.value, context),
+                            VarKey(fn_name, region.catch_entry.dest, context),
                         )
 
     def _var(
         self, fn_name: str, var: str, context: AbstractObject | None
-    ) -> int:
-        t = (fn_name, var, context)
-        i = self._var_ids.get(t)
-        if i is None:
-            i = self._id(VarKey(fn_name, var, context))
-            self._var_ids[t] = i
-            return i
-        return self._find(i)
-
-    def _fid(self, o: int, field: str) -> int:
-        """Representative id of ``FieldKey(self._objs[o], field)``."""
-        t = (o, field)
-        i = self._field_ids.get(t)
-        if i is None:
-            i = self._id(FieldKey(self._objs[o], field))
-            self._field_ids[t] = i
-            return i
-        return self._find(i)
+    ) -> VarKey:
+        return VarKey(fn_name, var, context)
 
     def _gen_constraints(
         self,
@@ -568,9 +288,7 @@ class PointsToAnalysis:
 
         if isinstance(instr, ins.Const):
             if isinstance(instr.value, str):
-                self._add_oids(
-                    self._var(fn, instr.dest, context), {self._oid(STRING_OBJECT)}
-                )
+                self._add_objects(self._var(fn, instr.dest, context), {STRING_OBJECT})
         elif isinstance(instr, ins.Move):
             self._add_edge(
                 self._var(fn, instr.src, context), self._var(fn, instr.dest, context)
@@ -588,9 +306,7 @@ class PointsToAnalysis:
             )
         elif isinstance(instr, ins.BinOp):
             if getattr(instr, "result_is_string", False):
-                self._add_oids(
-                    self._var(fn, instr.dest, context), {self._oid(STRING_OBJECT)}
-                )
+                self._add_objects(self._var(fn, instr.dest, context), {STRING_OBJECT})
         elif isinstance(instr, ins.New):
             obj = make_object(
                 instr.uid,
@@ -600,7 +316,7 @@ class PointsToAnalysis:
                 label=f"{fn}:{instr.position.line}",
                 max_depth=self.max_context_depth,
             )
-            self._add_oids(self._var(fn, instr.dest, context), {self._oid(obj)})
+            self._add_objects(self._var(fn, instr.dest, context), {obj})
         elif isinstance(instr, ins.NewArray):
             obj = make_object(
                 instr.uid,
@@ -610,46 +326,45 @@ class PointsToAnalysis:
                 label=f"{fn}:{instr.position.line}",
                 max_depth=self.max_context_depth,
             )
-            self._add_oids(self._var(fn, instr.dest, context), {self._oid(obj)})
+            self._add_objects(self._var(fn, instr.dest, context), {obj})
         elif isinstance(instr, ins.FieldLoad):
             base = self._var(fn, instr.base, context)
             dest = self._var(fn, instr.dest, context)
-            self._load_deps[base][(instr.field_name, dest)] = None
-            for o in list(self._pts[base]):
-                self._add_edge(self._fid(o, instr.field_name), dest)
+            self._load_deps[base].append((instr.field_name, dest))
+            for obj in set(self._pts.get(base, ())):
+                self._add_edge(FieldKey(obj, instr.field_name), dest)
         elif isinstance(instr, ins.FieldStore):
             base = self._var(fn, instr.base, context)
             src = self._var(fn, instr.value, context)
-            self._store_deps[base][(instr.field_name, src, None)] = None
-            for o in list(self._pts[base]):
-                self._add_edge(src, self._fid(o, instr.field_name))
+            self._store_deps[base].append((instr.field_name, src, None))
+            for obj in set(self._pts.get(base, ())):
+                self._add_edge(src, FieldKey(obj, instr.field_name))
         elif isinstance(instr, ins.ArrayLoad):
             base = self._var(fn, instr.base, context)
             dest = self._var(fn, instr.dest, context)
-            self._load_deps[base][(ARRAY_FIELD, dest)] = None
-            for o in list(self._pts[base]):
-                self._add_edge(self._fid(o, ARRAY_FIELD), dest)
+            self._load_deps[base].append((ARRAY_FIELD, dest))
+            for obj in set(self._pts.get(base, ())):
+                self._add_edge(FieldKey(obj, ARRAY_FIELD), dest)
         elif isinstance(instr, ins.ArrayStore):
             base = self._var(fn, instr.base, context)
             src = self._var(fn, instr.value, context)
-            self._store_deps[base][(ARRAY_FIELD, src, None)] = None
-            for o in list(self._pts[base]):
-                self._add_edge(src, self._fid(o, ARRAY_FIELD))
+            self._store_deps[base].append((ARRAY_FIELD, src, None))
+            for obj in set(self._pts.get(base, ())):
+                self._add_edge(src, FieldKey(obj, ARRAY_FIELD))
         elif isinstance(instr, ins.StaticLoad):
             self._add_edge(
-                self._id(StaticKey(instr.class_name, instr.field_name)),
+                StaticKey(instr.class_name, instr.field_name),
                 self._var(fn, instr.dest, context),
             )
         elif isinstance(instr, ins.StaticStore):
             self._add_edge(
                 self._var(fn, instr.value, context),
-                self._id(StaticKey(instr.class_name, instr.field_name)),
+                StaticKey(instr.class_name, instr.field_name),
             )
         elif isinstance(instr, ins.Return):
             if instr.value is not None:
                 self._add_edge(
-                    self._var(fn, instr.value, context),
-                    self._id(RetKey(fn, context)),
+                    self._var(fn, instr.value, context), RetKey(fn, context)
                 )
         elif isinstance(instr, ins.Call):
             self._gen_call(function, context, instr)
@@ -665,9 +380,7 @@ class PointsToAnalysis:
             return
         if instr.kind == "native":
             if instr.dest is not None and instr.method_name in _STRING_RETURNING_NATIVES:
-                self._add_oids(
-                    self._var(fn, instr.dest, context), {self._oid(STRING_OBJECT)}
-                )
+                self._add_objects(self._var(fn, instr.dest, context), {STRING_OBJECT})
             return
         if instr.kind == "static":
             callee = f"{instr.owner}.{instr.method_name}"
@@ -677,10 +390,9 @@ class PointsToAnalysis:
         assert instr.receiver is not None
         site = _CallSite(instr, fn, context)
         receiver_key = self._var(fn, instr.receiver, context)
-        self._dispatch_deps[receiver_key][(instr.uid, fn, context)] = site
-        objs = self._objs
-        for o in list(self._pts[receiver_key]):
-            self._resolve_call(site, objs[o])
+        self._dispatch_deps[receiver_key].append(site)
+        for obj in set(self._pts.get(receiver_key, ())):
+            self._resolve_call(site, obj)
 
     def _resolve_call(self, site: _CallSite, obj: AbstractObject) -> None:
         instr = site.instr
@@ -704,15 +416,10 @@ class PointsToAnalysis:
     def _is_container_object(self, obj: AbstractObject) -> bool:
         if not self.containers or obj.kind != "object":
             return False
-        memo = self._container_memo
-        verdict = memo.get(obj.class_name)
-        if verdict is None:
-            verdict = any(
-                ancestor in self.containers
-                for ancestor in self.table.ancestors(obj.class_name)
-            )
-            memo[obj.class_name] = verdict
-        return verdict
+        return any(
+            ancestor in self.containers
+            for ancestor in self.table.ancestors(obj.class_name)
+        )
 
     def _link_call(
         self,
@@ -739,7 +446,7 @@ class PointsToAnalysis:
             formal_types.pop(0)
             this_key = self._var(callee, this_formal, callee_context)
             if receiver_obj is not None:
-                self._add_oids(this_key, {self._oid(receiver_obj)})
+                self._add_objects(this_key, {receiver_obj})
             elif instr.receiver is not None:
                 self._add_edge(
                     self._var(caller, instr.receiver, caller_context), this_key
@@ -752,7 +459,7 @@ class PointsToAnalysis:
             )
         if instr.dest is not None:
             self._add_edge(
-                self._id(RetKey(callee, callee_context)),
+                RetKey(callee, callee_context),
                 self._var(caller, instr.dest, caller_context),
             )
 

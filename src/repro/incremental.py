@@ -30,12 +30,14 @@ How the pieces fit:
   offset, re-checked, re-lowered, and SSA-converted individually.
 
 * The dirty functions' *constraint fragments* (an alpha-normalized
-  rendering of exactly what :class:`~repro.analysis.pointsto.
-  PointsToAnalysis` would generate) are compared old-vs-new.  If every
-  dirty fragment is unchanged or grew by appended constraints, the old
-  points-to solution is translated into the new uid/label space and
-  fed to the delta-propagating solver as a warm start
-  (``warm_pts``): pre-seeded sets are already the old least fixpoint,
+  rendering of exactly the constraints
+  :meth:`~repro.analysis.pointsto.PointsToAnalysis._gen_constraints`
+  generates) are compared old-vs-new.  If every dirty fragment is
+  unchanged or grew by appended constraints, the old points-to
+  solution is translated into the new uid/label space and seeds the
+  solver's points-to sets as a warm start (``warm_pts`` of
+  :func:`~repro.analysis.pointsto.solve_points_to`, which queues
+  none of them): pre-seeded sets are already the old least fixpoint,
   so old constraints propagate nothing and only the genuinely new
   constraints cascade.  Monotonicity of Andersen's analysis makes this
   exact — the warm solve converges to the same least fixpoint a cold

@@ -68,47 +68,30 @@ class StageProfiler:
     # Views
     # ------------------------------------------------------------------
 
-    def _ordered_stages(self) -> list[str]:
-        known = [s for s in PIPELINE_STAGES if s in self.stages_ms]
-        extra = sorted(s for s in self.stages_ms if s not in PIPELINE_STAGES)
-        return known + extra
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-serializable snapshot (the shape stored on analyses)."""
         return {
             "stages_ms": {
                 name: round(self.stages_ms[name], 3)
-                for name in self._ordered_stages()
+                for name in _ordered_stages(self.stages_ms)
             },
             "counts": dict(sorted(self.counts.items())),
             "total_ms": round(self.total_ms(), 3),
         }
 
-    def render(self) -> str:
-        """Human-readable table for the CLI's ``--timings``."""
-        rows = []
-        total = self.total_ms()
-        for name in self._ordered_stages():
-            ms = self.stages_ms[name]
-            share = (100 * ms / total) if total else 0.0
-            rows.append(f"  {name:<10} {ms:8.1f} ms  {share:5.1f}%")
-        rows.append(f"  {'total':<10} {total:8.1f} ms")
-        if self.counts:
-            counters = "  ".join(
-                f"{k}={v}" for k, v in sorted(self.counts.items())
-            )
-            rows.append(f"  [{counters}]")
-        return "\n".join(rows)
+
+def _ordered_stages(stages: dict[str, float]) -> list[str]:
+    known = [s for s in PIPELINE_STAGES if s in stages]
+    extra = sorted(s for s in stages if s not in PIPELINE_STAGES)
+    return known + extra
 
 
 def render_timings(timings: dict[str, Any]) -> str:
     """Render an :meth:`StageProfiler.as_dict` snapshot as a table."""
     stages = timings.get("stages_ms", {})
     total = timings.get("total_ms", sum(stages.values()))
-    known = [s for s in PIPELINE_STAGES if s in stages]
-    extra = sorted(s for s in stages if s not in PIPELINE_STAGES)
     rows = []
-    for name in known + extra:
+    for name in _ordered_stages(stages):
         ms = stages[name]
         share = (100 * ms / total) if total else 0.0
         rows.append(f"  {name:<10} {ms:8.1f} ms  {share:5.1f}%")

@@ -111,6 +111,10 @@ class Replicator:
         if self_address not in self.ring:
             self.ring.add(self_address)
         self._clients: dict[str, SliceClient] = {}
+        # One connection per peer is shared by the push thread, request
+        # threads (fetch) and repair passes; its lock keeps each
+        # request/response exchange whole.
+        self._peer_locks: dict[str, threading.Lock] = {}
         self._clients_lock = threading.Lock()
         self._queue: queue.Queue[tuple[str, str, bytes] | None] = queue.Queue(
             maxsize=_QUEUE_CAP
@@ -174,17 +178,9 @@ class Replicator:
                 )
 
     def _push(self, peer: str, key: str, payload: bytes) -> None:
-        client = self._client(peer)
-        try:
-            client.request(
-                "put_artifact",
-                retries=0,
-                key=key,
-                payload=encode_payload(payload),
-            )
-        except ServerError:
-            self._drop_client(peer)
-            raise
+        self._request(
+            peer, "put_artifact", key=key, payload=encode_payload(payload)
+        )
 
     # ------------------------------------------------------------------
     # Read-through fetch (cache replica_fetch hook)
@@ -200,10 +196,8 @@ class Replicator:
             self.replica_fetches += 1
         for peer in peers:
             try:
-                client = self._client(peer)
-                result = client.request("get_artifact", retries=0, key=key)
+                result = self._request(peer, "get_artifact", key=key)
             except ServerError as exc:
-                self._drop_client(peer)
                 if exc.error_type != "NotFound":
                     logger.warning(
                         "replica fetch from %s failed for %s: %s",
@@ -239,11 +233,9 @@ class Replicator:
         pushed = errors = 0
         for peer, keys in offered.items():
             try:
-                client = self._client(peer)
-                result = client.request("sync_offer", retries=0, keys=keys)
+                result = self._request(peer, "sync_offer", keys=keys)
                 missing = result.get("missing") or []
             except ServerError:
-                self._drop_client(peer)
                 errors += 1
                 continue
             for key in missing:
@@ -281,6 +273,18 @@ class Replicator:
     # ------------------------------------------------------------------
     # Peer connections
     # ------------------------------------------------------------------
+
+    def _request(self, peer: str, method: str, **params: Any) -> dict[str, Any]:
+        """One exchange with ``peer`` over its shared connection, which
+        is dropped (and re-dialed by the next caller) on any failure."""
+        with self._clients_lock:
+            lock = self._peer_locks.setdefault(peer, threading.Lock())
+        with lock:
+            try:
+                return self._client(peer).request(method, retries=0, **params)
+            except ServerError:
+                self._drop_client(peer)
+                raise
 
     def _client(self, peer: str) -> SliceClient:
         with self._clients_lock:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.heapmodel import (
     ARGS_ARRAY_OBJECT,
     STRING_OBJECT,
@@ -10,7 +12,9 @@ from repro.analysis.heapmodel import (
     AbstractObject,
 )
 from repro.analysis.pointsto import solve_points_to
+from repro.budget import Budget, BudgetExceeded
 from repro.frontend import compile_source
+from repro.suite.loader import load_source
 
 
 def analyze(source: str, stdlib: bool = False, containers=None):
@@ -278,3 +282,19 @@ class TestHeapModel:
     def test_static_key_identity(self):
         assert StaticKey("A", "f") == StaticKey("A", "f")
         assert StaticKey("A", "f") != StaticKey("A", "g")
+
+
+class TestSolverControls:
+    def test_cancelled_budget_stops_the_solve(self):
+        compiled = compile_source(load_source("minixml"), include_stdlib=True)
+        budget = Budget()
+        budget.cancel("client gone")
+        with pytest.raises(BudgetExceeded) as err:
+            solve_points_to(compiled.ir, budget=budget)
+        assert err.value.reason == "client gone"
+
+    def test_step_budget_is_polled_at_the_worklist_head(self):
+        compiled = compile_source(load_source("minixml"), include_stdlib=True)
+        with pytest.raises(BudgetExceeded) as err:
+            solve_points_to(compiled.ir, budget=Budget(max_steps=50))
+        assert err.value.reason == "steps"

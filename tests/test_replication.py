@@ -20,6 +20,9 @@ PR 10's contract in four parts:
 from __future__ import annotations
 
 import json
+import select
+import socketserver
+import sys
 import threading
 import time
 
@@ -298,6 +301,106 @@ class TestReplicatorPlacement:
                 assert len(set(holders)) == 2
         finally:
             replicator.close()
+
+
+class _SlowPeer:
+    """A fake replica peer on localhost that holds one artifact.
+
+    It is slow in the way a loaded peer is: it looks at its socket only
+    every ``delay_s`` and answers every complete request it finds there
+    in one write, so back-to-back responses reach the client together.
+    """
+
+    def __init__(self, key: str, payload: bytes, delay_s: float) -> None:
+        def reply(line: bytes) -> str:
+            request = json.loads(line)
+            if request["method"] == "get_artifact":
+                result = {"key": key, "payload": encode_payload(payload)}
+            else:
+                result = {"stored": True}
+            response = {"id": request["id"], "ok": True, "result": result}
+            return json.dumps(response) + "\n"
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self) -> None:
+                pending = b""
+                while True:
+                    time.sleep(delay_s)
+                    ready, _, _ = select.select([self.request], [], [], 0)
+                    if ready:
+                        chunk = self.request.recv(1 << 20)
+                        if not chunk:
+                            return
+                        pending += chunk
+                    *lines, pending = pending.split(b"\n")
+                    replies = "".join(reply(line) for line in lines if line)
+                    if replies:
+                        self.request.sendall(replies.encode())
+
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        host, port = self.server.server_address[:2]
+        self.address = f"{host}:{port}"
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+
+
+class TestSharedPeerConnection:
+    def test_concurrent_fetches_and_pushes_to_one_slow_peer(self, tmp_path):
+        """The push thread and request threads share one connection per
+        peer; their request/response exchanges must not interleave."""
+        from repro import analyze
+        from repro.artifact.encode import encode_artifact
+
+        options = AnalyzeOptions()
+        source = load_source("figure1")
+        key = content_key(source, options)
+        payload = encode_artifact(
+            analyze(source, options=options), key=key, include_rich=False
+        )
+        peer = _SlowPeer(key, payload, delay_s=0.1)
+        me = "127.0.0.1:1"  # never dialed: a replicator skips itself
+        replicator = Replicator(
+            DiskStore(tmp_path), me, [me, peer.address], factor=2
+        )
+
+        def pushed():
+            stats = replicator.stats()
+            return stats["replicated_total"] + stats["replication_errors"]
+
+        fetched = []
+        fetchers = [
+            threading.Thread(target=lambda: fetched.append(replicator.fetch(key)))
+            for _ in range(3)
+        ]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start = time.monotonic()
+            replicator.artifact_saved(key, payload)
+            replicator.artifact_saved(key, payload)
+            for thread in fetchers:
+                thread.start()
+            for thread in fetchers:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in fetchers)
+            fetch_s = time.monotonic() - start
+            assert wait_until(lambda: pushed() >= 2, timeout_s=30.0)
+            push_s = time.monotonic() - start
+        finally:
+            sys.setswitchinterval(switch_interval)
+            replicator.close()
+            peer.close()
+        assert fetched == [payload] * 3, "a replica fetch failed"
+        stats = replicator.stats()
+        assert stats["replicated_total"] == 2
+        assert stats["replication_errors"] == 0
+        # Serialized, the five exchanges cost ~5 x 0.1-0.2s; an
+        # interleaved pair fails or stalls until the 10s peer timeout.
+        assert fetch_s < 3.0 and push_s < 3.0, (fetch_s, push_s)
 
 
 # ----------------------------------------------------------------------
