@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:
@@ -22,3 +27,23 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
         if index == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def environment() -> dict[str, object]:
+    """Where a result was measured: core count, Python, and commit."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=REPO,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown (not a git checkout)"
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": commit,
+    }

@@ -38,9 +38,7 @@ REPEATS = 3
 
 def _cold(source: str, options: AnalyzeOptions):
     analyzed = analyze(source, "<input>", options=options)
-    payload = encode_artifact(
-        analyzed, key=content_key(source, options), include_rich=False
-    )
+    payload = encode_artifact(analyzed, key=content_key(source, options))
     return analyzed, payload
 
 

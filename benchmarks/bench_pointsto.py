@@ -29,14 +29,10 @@ headline number.
 from __future__ import annotations
 
 import json
-import os
-import platform
 import statistics
-import subprocess
 import time
-from pathlib import Path
 
-from _util import emit, format_table
+from _util import REPO, emit, environment, format_table
 from repro import analyze
 from repro.analysis.modref import compute_modref
 from repro.analysis.pointsto import solve_points_to
@@ -45,7 +41,6 @@ from repro.sdg.sdg import build_sdg
 from repro.slicing.tabulation import TabulationSlicer
 from repro.suite.loader import load_source
 
-REPO = Path(__file__).resolve().parent.parent
 SCALE_DIR = REPO / "tests" / "scale"
 
 SUITE = ["jtopas", "minixml", "minijavac", "parsegen"]
@@ -66,20 +61,6 @@ def _source(name: str) -> str:
     if name in SCALE:
         return (SCALE_DIR / f"{name}.mj").read_text()
     return load_source(name)
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-            cwd=REPO,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown (not a git checkout)"
 
 
 def _best_of(thunk, runs: int = RUNS) -> float:
@@ -159,11 +140,7 @@ def test_cold_path_benchmark(results_dir):
         )
 
     median_speedup = statistics.median(speedups)
-    environment = {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "commit": _commit(),
-    }
+    measured_on = environment()
     table = format_table(
         [
             "program",
@@ -178,7 +155,7 @@ def test_cold_path_benchmark(results_dir):
         rows,
     )
     table += f"\n\nmedian cold-path speedup (suite): {median_speedup:.2f}x"
-    table += "\n" + "  ".join(f"{k}={v}" for k, v in environment.items())
+    table += "\n" + "  ".join(f"{k}={v}" for k, v in measured_on.items())
     emit(results_dir, "pointsto_cold_path.txt", table)
 
     payload = {
@@ -187,7 +164,7 @@ def test_cold_path_benchmark(results_dir):
         "runs": RUNS,
         "programs": points,
         "median_speedup": round(median_speedup, 2),
-        **environment,
+        **measured_on,
     }
     (results_dir / "BENCH_pointsto.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

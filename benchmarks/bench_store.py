@@ -1,4 +1,4 @@
-"""Warm-disk artifact cost: flat mmap view vs legacy pickle envelope.
+"""Warm-disk artifact cost: flat mmap view vs materialized program.
 
 The serving-tier question this answers: a daemon restarts (or a new
 shard spins up) over a populated store — how fast is the first slice
@@ -6,11 +6,13 @@ for each stored program?  Two warm paths are measured end-to-end
 (load + one thin slice from a mid-program seed):
 
 * **flat** — map the ``.art`` file read-only, slice straight off the
-  :class:`~repro.artifact.ArtifactView` arrays (format 3, the
-  production path: nothing is unpickled, nothing is reconstructed);
-* **pickle** — read the format-2 envelope and unpickle the whole
-  :class:`~repro.AnalyzedProgram` object graph, the way the store
-  worked before the flat format landed.
+  :class:`~repro.artifact.ArtifactView` arrays (the production slice
+  path: nothing is reconstructed);
+* **rich** — map the same file, materialize the
+  :class:`~repro.AnalyzedProgram` with ``to_analyzed_program()`` (a
+  re-analysis of the embedded source: artifacts store no object
+  graph) and slice that — what ``explain``/``why``/``chop`` pay on a
+  view-only entry.
 
 Since artifacts carry crc32 digests, the flat load also pays an
 integrity check, and the second question measured here is what each
@@ -23,18 +25,16 @@ Corpus: every suite program plus the two mid-size generated programs
 from ``tests/scale/``.  Emits ``results/store.txt`` and
 ``results/BENCH_store.json``; asserts the flat path is ≥3x faster on
 the largest suite program (the acceptance threshold the CI perf guard
-also enforces — mmap vs unpickle is not core-count dependent, so the
-assertion runs everywhere).
+also enforces — mmap vs re-analysis is not core-count dependent, so
+the assertion runs everywhere).
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import time
-from pathlib import Path
 
-from _util import emit, format_table
+from _util import REPO, emit, environment, format_table
 from repro import AnalyzeOptions, analyze
 from repro.artifact import ArtifactView, content_key
 from repro.server.store import DiskStore
@@ -42,7 +42,7 @@ from repro.slicing.flatslice import flat_slicer
 from repro.suite.harness import SUITE_PROGRAMS
 from repro.suite.loader import load_source
 
-SCALE_DIR = Path(__file__).resolve().parent.parent / "tests" / "scale"
+SCALE_DIR = REPO / "tests" / "scale"
 SCALE_FILES = ["scale_s101_x6.mj", "scale_s202_x6.mj"]
 REPEATS = 5
 SPEEDUP_FLOOR = 3.0
@@ -81,23 +81,22 @@ def _flat_warm_ms(
     return best
 
 
-def _pickle_warm_ms(store: DiskStore, key: str, seed: int) -> float:
-    """The retired format-2 warm path, reproduced without migration."""
-    path = store.legacy_path_for(key)
+def _rich_warm_ms(store: DiskStore, key: str, seed: int) -> float:
+    """Materialize the rich program from the stored artifact, slice it."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        envelope = pickle.loads(path.read_bytes())
-        analyzed = pickle.loads(envelope["payload"])
+        view = store.load_view(key)
+        analyzed = view.to_analyzed_program()
         result = analyzed.thin_slicer.slice_from_line(seed)
         assert result.lines
         best = min(best, (time.perf_counter() - start) * 1000)
+        view.close()
     return best
 
 
 def test_store_warm_path(results_dir, tmp_path):
     flat_store = DiskStore(tmp_path / "flat")
-    legacy_store = DiskStore(tmp_path / "legacy")
 
     rows = []
     programs = {}
@@ -109,9 +108,7 @@ def test_store_warm_path(results_dir, tmp_path):
         analyze_ms = (time.perf_counter() - start) * 1000
 
         flat_store.save(key, analyzed)
-        legacy_store.write_legacy_pickle(key, analyzed)
         art_bytes = flat_store.path_for(key).stat().st_size
-        pkl_bytes = legacy_store.legacy_path_for(key).stat().st_size
 
         probe = flat_store.load_view(key)
         seed = _seed_line(probe)
@@ -120,13 +117,12 @@ def test_store_warm_path(results_dir, tmp_path):
         flat_ms = _flat_warm_ms(flat_store, key, seed)
         header_ms = _flat_warm_ms(flat_store, key, seed, verify="header")
         deep_ms = _flat_warm_ms(flat_store, key, seed, verify="deep")
-        pickle_ms = _pickle_warm_ms(legacy_store, key, seed)
-        speedup = pickle_ms / flat_ms
+        rich_ms = _rich_warm_ms(flat_store, key, seed)
+        speedup = rich_ms / flat_ms
         programs[name] = {
             "seed_line": seed,
             "analyze_ms": round(analyze_ms, 1),
             "art_kb": round(art_bytes / 1024, 1),
-            "pkl_kb": round(pkl_bytes / 1024, 1),
             "flat_warm_ms": round(flat_ms, 3),
             "verify_header_ms": round(header_ms, 3),
             "verify_deep_ms": round(deep_ms, 3),
@@ -136,27 +132,28 @@ def test_store_warm_path(results_dir, tmp_path):
             "verify_deep_overhead_pct": round(
                 (deep_ms / flat_ms - 1) * 100, 1
             ),
-            "pickle_warm_ms": round(pickle_ms, 3),
+            "rich_warm_ms": round(rich_ms, 3),
             "speedup": round(speedup, 2),
         }
         rows.append(
             [
                 name,
                 f"{art_bytes / 1024:.0f}KB",
-                f"{pkl_bytes / 1024:.0f}KB",
                 f"{flat_ms:.2f}ms",
                 f"{header_ms:.2f}ms",
                 f"{deep_ms:.2f}ms",
-                f"{pickle_ms:.2f}ms",
+                f"{rich_ms:.2f}ms",
                 f"{speedup:.1f}x",
             ]
         )
 
     largest = max(
-        SUITE_PROGRAMS, key=lambda name: programs[name]["pkl_kb"]
+        SUITE_PROGRAMS, key=lambda name: programs[name]["art_kb"]
     )
+    measured_on = environment()
     payload = {
         "benchmark": "store",
+        **measured_on,
         "repeats": REPEATS,
         "speedup_floor": SPEEDUP_FLOOR,
         "largest_suite_program": largest,
@@ -166,11 +163,10 @@ def test_store_warm_path(results_dir, tmp_path):
         [
             "program",
             "art",
-            "pkl",
             "flat warm",
             "+header",
             "+deep",
-            "pickle warm",
+            "rich warm",
             "speedup",
         ],
         rows,
@@ -181,7 +177,10 @@ def test_store_warm_path(results_dir, tmp_path):
         "+header/+deep = the same warm path at each verify level "
         "(header = whole-file crc32, the serving default; deep = "
         "per-section digests + structural bounds, the scrubber level)\n"
+        "rich warm = the same load + to_analyzed_program() (re-analysis) "
+        "+ a rich thin slice\n"
     )
+    table += "  ".join(f"{k}={v}" for k, v in measured_on.items()) + "\n"
     emit(results_dir, "store.txt", table)
     (results_dir / "BENCH_store.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

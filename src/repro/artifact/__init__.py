@@ -4,7 +4,7 @@ The write side (:func:`encode_artifact`) flattens an
 :class:`~repro.AnalyzedProgram` into struct-of-arrays sections; the read
 side (:class:`ArtifactView`) maps those bytes read-only and serves the
 slicers directly — see :mod:`repro.artifact.format` for the layout.
-Format 2 carries crc32 digests (whole-file + per-section) so
+Artifacts carry crc32 digests (whole-file + per-section) so
 ``ArtifactView.open(verify=...)`` rejects corrupt bytes at load time.
 """
 
@@ -18,12 +18,7 @@ from repro.artifact.format import (
     ArtifactStaleError,
     verify_file_digest,
 )
-from repro.artifact.encode import (
-    canonical_bytes,
-    content_key,
-    encode_artifact,
-    migrate_flat_v1,
-)
+from repro.artifact.encode import content_key, encode_artifact
 from repro.artifact.view import VERIFY_LEVELS, ArtifactView
 
 __all__ = [
@@ -36,9 +31,7 @@ __all__ = [
     "ArtifactFormatError",
     "ArtifactStaleError",
     "ArtifactView",
-    "canonical_bytes",
     "content_key",
     "encode_artifact",
-    "migrate_flat_v1",
     "verify_file_digest",
 ]

@@ -4,9 +4,9 @@ The encoder flattens the SDG into the struct-of-arrays sections of
 :mod:`repro.artifact.format`.  Nodes are renumbered densely, grouped by
 owning function (sorted by name, content-sorted within a function), each
 node's backward edges are sorted by ``(target, kind)``, and call-site
-uids are rank-normalized — so every section except the optional ``RICH``
-pickle is byte-identical across processes, hash seeds, restarts, and
-machines, no matter what the encoding process compiled beforehand.
+uids are rank-normalized — so the whole artifact is byte-identical
+across processes, hash seeds, restarts, and machines, no matter what
+the encoding process compiled beforehand.
 That property is what retired the ``_NIL`` hash workarounds the
 serialize-once pickle path used to need (see
 :mod:`repro.analysis.heapmodel`).
@@ -17,22 +17,16 @@ from __future__ import annotations
 import array
 import hashlib
 import json
-import pickle
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.ir import instructions as ins
 from repro.sdg.nodes import ParamNode, StmtNode, node_position
 from repro.artifact.format import (
-    CANONICAL_TAGS,
     KIND_OF_ROLE,
     KIND_STMT,
     NO_SITE,
     ArtifactError,
-    ArtifactStaleError,
     pack_sections,
-    parse_sections,
-    parse_sections_v1,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the package imports us at init
@@ -140,15 +134,12 @@ def _site_of(node) -> int | None:
     return None
 
 
-def encode_artifact(
-    analyzed: "AnalyzedProgram", key: str = "", include_rich: bool = True
-) -> bytes:
+def encode_artifact(analyzed: "AnalyzedProgram", key: str = "") -> bytes:
     """Flatten one analyzed program into artifact bytes.
 
     ``key`` is stamped into META so a reader can reject a store entry
-    filed under the wrong content address.  ``include_rich=False`` drops
-    the pickle escape hatch (smaller artifact; ``to_analyzed_program``
-    then re-analyzes from the embedded source).
+    filed under the wrong content address.  Run timings are not
+    artifact content and are never encoded.
     """
     from repro import __version__
 
@@ -249,108 +240,20 @@ def encode_artifact(
         },
     }
 
-    sections: list[tuple[bytes, bytes]] = [
-        (b"META", json.dumps(meta, sort_keys=True).encode("utf-8")),
-        (b"STRS", offsets.tobytes() + bytes(blob)),
-        (b"KIND", bytes(kinds)),
-        (b"LINE", lines.tobytes()),
-        (b"SITE", sites.tobytes()),
-        (b"EIDX", eidx.tobytes()),
-        (b"ETGT", etgt.tobytes()),
-        (b"EKND", bytes(eknd)),
-        (b"LKEY", lkey.tobytes()),
-        (b"LIDX", lidx.tobytes()),
-        (b"LNOD", lnod.tobytes()),
-        (b"FUNC", func.tobytes()),
-        (b"SRC ", full_text.encode("utf-8")),
-    ]
-    if include_rich:
-        rich = pickle.dumps(
-            replace(analyzed, timings=None), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        sections.append((b"RICH", rich))
-    return pack_sections(sections)
-
-
-def migrate_flat_v1(payload: bytes, key: str) -> bytes:
-    """Re-encode a format-1 (digest-less) artifact as format 2.
-
-    Mirrors the pickle migration in ``DiskStore._load_legacy``: decode
-    the old envelope back to an :class:`AnalyzedProgram` (the embedded
-    ``RICH`` pickle if present, else a re-analysis of the embedded
-    source) and run it through the current encoder, which stamps the
-    digests.  Raises :class:`ArtifactError` if the old bytes are stale
-    (other package version, key mismatch) or corrupt — callers decide
-    whether that means discard or quarantine.
-    """
-    from repro import __version__
-
-    sections = parse_sections_v1(payload)
-    try:
-        meta = json.loads(
-            bytes(payload[slice(*_span(sections, b"META"))])
-        )
-    except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"bad META section: {exc}") from None
-    if meta.get("version") != __version__:
-        raise ArtifactStaleError(
-            f"artifact from package {meta.get('version')!r} != {__version__!r}"
-        )
-    if key and meta.get("key") != key:
-        raise ArtifactStaleError("artifact key mismatch")
-    rich_span = sections.get(b"RICH")
-    if rich_span is not None:
-        offset, length = rich_span
-        try:
-            analyzed = pickle.loads(payload[offset : offset + length])
-        except Exception as exc:
-            raise ArtifactError(f"bad RICH section: {exc}") from None
-    else:
-        analyzed = _reanalyze_from_meta(payload, sections, meta)
-    return encode_artifact(analyzed, key=key)
-
-
-def _span(sections: dict, tag: bytes) -> tuple[int, int]:
-    offset, length = sections[tag]
-    return offset, offset + length
-
-
-def _reanalyze_from_meta(payload: bytes, sections: dict, meta: dict):
-    from repro import AnalyzeOptions, analyze
-
-    try:
-        text = bytes(payload[slice(*_span(sections, b"SRC "))]).decode("utf-8")
-    except (KeyError, UnicodeDecodeError) as exc:
-        raise ArtifactError(f"bad SRC section: {exc}") from None
-    recorded = meta.get("options", {})
-    containers = recorded.get("containers")
-    options = AnalyzeOptions(
-        include_stdlib=bool(recorded.get("include_stdlib", True)),
-        containers=None if containers is None else frozenset(containers),
-        heap_mode=recorded.get("heap_mode", "direct"),
-        include_control=bool(recorded.get("include_control", True)),
+    return pack_sections(
+        [
+            (b"META", json.dumps(meta, sort_keys=True).encode("utf-8")),
+            (b"STRS", offsets.tobytes() + bytes(blob)),
+            (b"KIND", bytes(kinds)),
+            (b"LINE", lines.tobytes()),
+            (b"SITE", sites.tobytes()),
+            (b"EIDX", eidx.tobytes()),
+            (b"ETGT", etgt.tobytes()),
+            (b"EKND", bytes(eknd)),
+            (b"LKEY", lkey.tobytes()),
+            (b"LIDX", lidx.tobytes()),
+            (b"LNOD", lnod.tobytes()),
+            (b"FUNC", func.tobytes()),
+            (b"SRC ", full_text.encode("utf-8")),
+        ]
     )
-    user_source = text[: meta.get("user_len", len(text))]
-    analyzed = analyze(
-        user_source, meta.get("filename", "<input>"), options=options
-    )
-    analyzed.timings = None
-    return analyzed
-
-
-def canonical_bytes(payload: bytes) -> bytes:
-    """The canonical portion of an artifact: every section but ``RICH``.
-
-    Two encodings of the same ``(source, options, version)`` agree on
-    this digest input even across processes; only the ``RICH`` pickle
-    may differ (object memo topology is process-dependent now that the
-    ``_NIL`` hash substitutions are retired).
-    """
-    sections = parse_sections(payload)
-    parts = []
-    for tag in CANONICAL_TAGS:
-        if tag in sections:
-            offset, length = sections[tag]
-            parts.append(tag)
-            parts.append(payload[offset : offset + length])
-    return b"".join(parts)

@@ -34,16 +34,14 @@ reader can address directly through ``memoryview.cast`` on a read-only
 ``FUNC``  u32[F*3] per-function (name ref into STRS, node start,
           node end): nodes are renumbered contiguously per function,
           so each function owns one offset-indexed id range.
-``SRC ``  UTF-8 full program text (user source + appended stdlib).
-``RICH``  optional pickle of the full ``AnalyzedProgram`` (timings
-          stripped) — the ``to_analyzed_program()`` escape hatch.
-          Never touched by the slice fast path, so its pages are
-          never faulted in on a warm-disk slice.
+``SRC ``  UTF-8 full program text (user source + appended stdlib);
+          with META's options it is all ``to_analyzed_program()``
+          needs to rebuild the rich object graph by re-analysis.
 ========  =============================================================
 
 Node ids are dense ints ``0..N-1``; edges are stored backward (the
 direction every slicer walks), per-node lists sorted by (target, kind)
-so the encoding is canonical: every section except ``RICH`` is a pure
+so the encoding is canonical: every byte of an artifact is a pure
 function of ``(source, options, package version)``.
 """
 
@@ -55,11 +53,9 @@ import zlib
 MAGIC = b"REPROSDG"
 
 #: Version of this binary layout; bumped on any incompatible change.
-#: Format 2 added the whole-file crc32 header field and per-section
-#: crc32 digests in the table; format-1 files are lazily re-encoded by
-#: :func:`repro.artifact.encode.migrate_flat_v1` the first time the
-#: store reads them (mirroring the format-2-pickle migration path).
-ARTIFACT_FORMAT = 2
+#: A buffer with any other format is stale: the store discards it and
+#: recomputes the analysis.
+ARTIFACT_FORMAT = 3
 
 #: Sentinel in ``SITE`` for nodes that belong to no call site.
 NO_SITE = 0xFFFFFFFF
@@ -90,35 +86,10 @@ _ENTRY = struct.Struct("<4sQQI")
 #: Byte offset of the whole-file crc32 field inside the header.
 _FILE_CRC_OFFSET = 16
 
-#: Format-1 layout (no digests) — kept so the store can detect old
-#: files and tests can fabricate them for the migration path.
-_HEADER_V1 = struct.Struct("<8sII")
-_ENTRY_V1 = struct.Struct("<4sQQ")
-
-#: Sections whose bytes are canonical (everything but the pickle).
-CANONICAL_TAGS = (
-    b"META", b"STRS", b"KIND", b"LINE", b"SITE", b"EIDX", b"ETGT",
-    b"EKND", b"LKEY", b"LIDX", b"LNOD", b"FUNC", b"SRC ",
-)
-
 
 class ArtifactError(ValueError):
     """A buffer that is not a valid artifact (bad magic, truncated
     sections, wrong format/package version, key mismatch)."""
-
-
-class ArtifactFormatError(ArtifactError):
-    """The buffer is an artifact, but from another layout version.
-
-    Carries the ``found`` format so the store can distinguish "old
-    format, migrate it" from "future format, discard it".
-    """
-
-    def __init__(self, found: int) -> None:
-        super().__init__(
-            f"artifact format {found} != supported format {ARTIFACT_FORMAT}"
-        )
-        self.found = found
 
 
 class ArtifactDigestError(ArtifactError):
@@ -127,10 +98,21 @@ class ArtifactDigestError(ArtifactError):
 
 
 class ArtifactStaleError(ArtifactError):
-    """The artifact is intact but no longer usable — written by another
-    package version or filed under the wrong cache key.  Stale files
-    are discarded (re-encoded on the next miss); corrupt files are
-    quarantined."""
+    """The artifact is intact but no longer usable — another layout
+    format, written by another package version, or filed under the
+    wrong cache key.  Stale files are discarded (re-encoded on the next
+    miss); corrupt files are quarantined."""
+
+
+class ArtifactFormatError(ArtifactStaleError):
+    """The buffer is an artifact, but from another layout version
+    (``found``): stale, whether older or newer than this one."""
+
+    def __init__(self, found: int) -> None:
+        super().__init__(
+            f"artifact format {found} != supported format {ARTIFACT_FORMAT}"
+        )
+        self.found = found
 
 
 def _pad8(length: int) -> int:
@@ -246,61 +228,6 @@ def parse_sections(buffer) -> dict[bytes, tuple[int, int]]:
     for index in range(count):
         tag, offset, length, _crc = _ENTRY.unpack_from(
             buffer, _HEADER.size + _ENTRY.size * index
-        )
-        if offset + length > size:
-            raise ArtifactError(
-                f"section {tag!r} overruns the buffer (torn write?)"
-            )
-        sections[tag] = (offset, length)
-    return sections
-
-
-# ----------------------------------------------------------------------
-# Format-1 compatibility (no digests) — read side for lazy migration,
-# write side for tests that fabricate old files.
-# ----------------------------------------------------------------------
-
-
-def pack_sections_v1(sections: list[tuple[bytes, bytes]]) -> bytes:
-    """Assemble a format-1 artifact (header + digest-less table)."""
-    table_size = _HEADER_V1.size + _ENTRY_V1.size * len(sections)
-    offset = table_size + _pad8(table_size)
-    entries = []
-    chunks = []
-    for tag, payload in sections:
-        assert len(tag) == 4, tag
-        entries.append(_ENTRY_V1.pack(tag, offset, len(payload)))
-        chunks.append(payload)
-        pad = _pad8(len(payload))
-        if pad:
-            chunks.append(b"\x00" * pad)
-        offset += len(payload) + pad
-    head = _HEADER_V1.pack(MAGIC, 1, len(sections))
-    parts = [head, *entries]
-    pad = _pad8(table_size)
-    if pad:
-        parts.append(b"\x00" * pad)
-    parts.extend(chunks)
-    return b"".join(parts)
-
-
-def parse_sections_v1(buffer) -> dict[bytes, tuple[int, int]]:
-    """Parse a format-1 buffer (used only by the migration path)."""
-    size = len(buffer)
-    if size < _HEADER_V1.size:
-        raise ArtifactError("buffer shorter than the artifact header")
-    magic, fmt, count = _HEADER_V1.unpack_from(buffer, 0)
-    if magic != MAGIC:
-        raise ArtifactError("bad magic: not an artifact file")
-    if fmt != 1:
-        raise ArtifactFormatError(fmt)
-    table_end = _HEADER_V1.size + _ENTRY_V1.size * count
-    if size < table_end:
-        raise ArtifactError("truncated section table")
-    sections: dict[bytes, tuple[int, int]] = {}
-    for index in range(count):
-        tag, offset, length = _ENTRY_V1.unpack_from(
-            buffer, _HEADER_V1.size + _ENTRY_V1.size * index
         )
         if offset + length > size:
             raise ArtifactError(

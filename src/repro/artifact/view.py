@@ -4,9 +4,9 @@ A view wraps one artifact buffer and exposes the SDG as dense int node
 ids plus typed array accessors (``memoryview.cast`` over the mapped
 pages — nothing is copied or deserialized up front).  Opening a view
 costs one header parse and one small JSON decode; the node/edge arrays
-are faulted in lazily by the kernel as a slice walks them, and the
-``RICH`` pickle section is only ever touched by
-:meth:`to_analyzed_program`.
+are faulted in lazily by the kernel as a slice walks them.  The rich
+object graph is never stored: :meth:`to_analyzed_program` rebuilds it
+by re-analyzing the embedded source.
 
 Because shards and pool workers open the same store files, the kernel
 shares one page-cache copy of each artifact across every process — the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import mmap
-import pickle
 import threading
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -107,7 +106,6 @@ class ArtifactView:
             self._src = self._section(sections, b"SRC ")
         except KeyError as exc:
             raise ArtifactError(f"missing section {exc}") from None
-        self._rich = sections.get(b"RICH")
         self.node_count = len(self.kind)
         if (
             len(self.eidx) != self.node_count + 1
@@ -364,21 +362,15 @@ class ArtifactView:
     def to_analyzed_program(self):
         """Materialize the rich object graph (memoized, thread-safe).
 
-        Prefers the embedded ``RICH`` pickle; an artifact encoded
-        without one is re-analyzed from the embedded user source with
-        the recorded options.  The slice fast path never calls this.
+        Re-analyzes the embedded user source with the options recorded
+        in META — the artifact stores the flat graph only.  The slice
+        fast path never calls this.
         """
         if self._program is not None:
             return self._program
         with self._lock:
             if self._program is None:
-                if self._rich is not None:
-                    offset, length = self._rich
-                    self._program = pickle.loads(
-                        self._buffer[offset : offset + length]
-                    )
-                else:
-                    self._program = self._reanalyze()
+                self._program = self._reanalyze()
         return self._program
 
     def _reanalyze(self):
@@ -394,5 +386,5 @@ class ArtifactView:
         )
         user_source = self.text[: self._meta.get("user_len", len(self.text))]
         analyzed = analyze(user_source, self.filename, options=options)
-        analyzed.timings = None  # parity with the RICH pickle
+        analyzed.timings = None  # wall times belong to the original run
         return analyzed

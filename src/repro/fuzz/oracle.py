@@ -190,9 +190,7 @@ def check_edit_session(
         session = IncrementalSession.from_analyzed(
             cold,
             source,
-            payload=encode_artifact(
-                cold, key=content_key(source, options), include_rich=False
-            ),
+            payload=encode_artifact(cold, key=content_key(source, options)),
         )
     except DeclinedError as exc:
         return done(
@@ -231,7 +229,6 @@ def check_edit_session(
                     payload=encode_artifact(
                         step_cold,
                         key=content_key(edited, step_options),
-                        include_rich=False,
                     ),
                 )
             continue
@@ -258,7 +255,6 @@ def check_edit_session(
         want = encode_artifact(
             step_cold,
             key=content_key(edited, step_options),
-            include_rich=False,
         )
         if outcome.payload != want:
             return done(

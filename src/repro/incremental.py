@@ -87,7 +87,7 @@ from repro.lang.typechecker import TypeChecker
 from repro.profiling import StageProfiler
 from repro.sdg.sdg import build_sdg
 from repro.artifact.encode import content_key, encode_artifact
-from repro.artifact.format import CANONICAL_TAGS, parse_sections
+from repro.artifact.format import parse_sections
 
 
 class DeclinedError(Exception):
@@ -739,10 +739,10 @@ class IncrementalSession:
         A zero-dirty edit cannot change any node, edge, site rank, or
         function span — only source lines moved.  ``LINE`` entries and
         ``LKEY`` line keys map through the (strictly monotonic on code
-        lines) line map, ``SRC `` and ``META`` are replaced, ``RICH``
-        is dropped.  Returns None when no previous payload is held
-        (first edit of a freshly seeded session): the caller then runs
-        the full reuse path, which produces the identical bytes.
+        lines) line map, ``SRC `` and ``META`` are replaced.  Returns
+        None when no previous payload is held (first edit of a freshly
+        seeded session): the caller then runs the full reuse path,
+        which produces the identical bytes.
         """
         from repro.artifact.format import pack_sections
 
@@ -769,19 +769,16 @@ class IncrementalSession:
         meta["key"] = key
         meta["filename"] = filename
         meta["user_len"] = len(text)
-        out: list[tuple[bytes, bytes]] = []
-        for tag in CANONICAL_TAGS:
-            if tag == b"META":
-                out.append((tag, json.dumps(meta, sort_keys=True).encode("utf-8")))
-            elif tag == b"LINE":
-                out.append((tag, lines.tobytes()))
-            elif tag == b"LKEY":
-                out.append((tag, lkey.tobytes()))
-            elif tag == b"SRC ":
-                out.append((tag, full_text.encode("utf-8")))
-            elif tag in sections:
-                out.append((tag, bytes(_section(payload, sections, tag))))
-        return pack_sections(out)
+        replaced = {
+            b"META": json.dumps(meta, sort_keys=True).encode("utf-8"),
+            b"LINE": lines.tobytes(),
+            b"LKEY": lkey.tobytes(),
+            b"SRC ": full_text.encode("utf-8"),
+        }
+        for tag in sections:
+            if tag not in replaced:
+                replaced[tag] = bytes(_section(payload, sections, tag))
+        return pack_sections([(tag, replaced[tag]) for tag in sections])
 
     def _relocate_state(self, line_map: LineMap, filename: str) -> None:
         """Shift the in-memory AST and instruction positions in place.
@@ -1019,7 +1016,7 @@ class IncrementalSession:
             analyzed = AnalyzedProgram(
                 new_compiled, pts, sdg, self.options, None
             )
-            payload = encode_artifact(analyzed, key=key, include_rich=False)
+            payload = encode_artifact(analyzed, key=key)
 
         self.pts = pts
         self._commit(text, filename, new_shape, payload)

@@ -29,7 +29,7 @@ logic (admission, cancellation, counters) in the parent's threads:
 pickle: the parent stores the bytes unchanged into the disk tier and
 opens an :class:`~repro.artifact.ArtifactView` over them — no unpickle
 of the whole object graph on the hot path.  The encoder sorts each
-node's edges, so every canonical section is a pure function of
+node's edges, so the whole artifact is a pure function of
 ``(source, options, package version)`` — byte-identical across workers,
 restarts, and machines by construction, where the retired pickle path
 needed ``PYTHONHASHSEED`` pinning plus ``None``-free hash tuples to get
@@ -160,8 +160,8 @@ def analyze_artifact(
     """Pool task: one cold analysis, returned as flat artifact bytes.
 
     Returns ``(payload, timings)`` where ``payload`` is the
-    :func:`artifact_payload` bytes (canonical sections deterministic —
-    see module docstring), stamped with the request's content key, and
+    :func:`~repro.artifact.encode_artifact` bytes (deterministic — see
+    module docstring), stamped with the request's content key, and
     ``timings`` is the run's stage profile, shipped separately because
     wall times are per-run observability data, not artifact content.
 
@@ -199,7 +199,7 @@ def analyze_artifact(
                     limit_mb=memory_limit_mb,
                 ) from None
         from repro import AnalyzeOptions, analyze
-        from repro.artifact import content_key
+        from repro.artifact import content_key, encode_artifact
         from repro.ir.instructions import reset_instruction_uids
 
         # One analysis per task and no surviving instructions between
@@ -221,7 +221,7 @@ def analyze_artifact(
         try:
             resolved = options or AnalyzeOptions()
             analyzed = analyze(source, filename, options=resolved)
-            payload = artifact_payload(
+            payload = encode_artifact(
                 analyzed, key=content_key(source, resolved)
             )
         except MemoryError:
@@ -236,32 +236,6 @@ def analyze_artifact(
     finally:
         if limited:
             clear_memory_rlimit()
-
-
-def artifact_payload(analyzed: Any, key: str = "") -> bytes:
-    """Flat artifact bytes for an :class:`~repro.AnalyzedProgram`.
-
-    Run timings are stripped by the encoder — they vary per run and are
-    not artifact content; the request-scoped budget was already stripped
-    by :func:`repro.analyze`.  ``key`` (the content address) is stamped
-    into the artifact's META section so readers can validate it.
-    """
-    from repro.artifact import encode_artifact
-
-    return encode_artifact(analyzed, key=key)
-
-
-def load_artifact(payload: bytes) -> Any:
-    """Materialize the rich program from artifact bytes.
-
-    Opens a view over ``payload`` and takes the
-    ``to_analyzed_program()`` escape hatch — callers that can work from
-    the view directly should do that instead (see
-    :class:`repro.server.cache.CacheEntry`).
-    """
-    from repro.artifact import ArtifactView
-
-    return ArtifactView.from_buffer(payload).to_analyzed_program()
 
 
 # ----------------------------------------------------------------------

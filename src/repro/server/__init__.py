@@ -10,8 +10,8 @@ package turns the library into a service:
   responses, plus the result serializers shared with ``--format json``
   in the CLI;
 * :mod:`repro.server.store` — an on-disk content-addressed store of
-  pickled :class:`repro.AnalyzedProgram` artifacts, so a restarted
-  daemon answers warm queries without re-analysis;
+  flat, mmap-able analysis artifacts (:mod:`repro.artifact`), so a
+  restarted daemon answers warm slice queries without re-analysis;
 * :mod:`repro.server.cache` — the two-tier cache (in-memory LRU over
   the disk store) keyed by ``(sha256(source), options)``;
 * :mod:`repro.server.daemon` — the request dispatcher with per-request

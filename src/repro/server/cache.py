@@ -28,8 +28,8 @@ The unit cached is a :class:`CacheEntry`: a flat
 :class:`~repro.AnalyzedProgram`.  The slice/stats hot path runs
 straight off the view (mmap-backed on a disk hit — the object graph is
 never reconstructed); rich-only methods (explain/why/chop) call
-:meth:`CacheEntry.program`, which materializes once per entry and
-memoizes.
+:meth:`CacheEntry.program`, which re-analyzes the artifact's embedded
+source once per view-only entry and memoizes.
 
 With an ``executor`` (a :class:`repro.parallel.ProcessPool`), misses
 run :func:`repro.parallel.analyze_artifact` in a worker process and
@@ -330,8 +330,8 @@ class AnalysisCache:
         self, key: str, source: str, filename: str, options: AnalyzeOptions
     ) -> tuple[AnalyzedProgram, bytes | None] | None:
         """Retrieve a cold result for session seeding (memory, then
-        disk).  Materializing a no-rich artifact re-analyzes from its
-        embedded source — the one-time cost of converting a lineage to
+        disk).  Materializing an artifact re-analyzes from its embedded
+        source — the one-time cost of converting a lineage to
         incremental serving; returns None when the result is gone from
         both tiers (the lineage just stays cold)."""
         with self._lock:

@@ -37,7 +37,8 @@ Design rules:
   warm-disk hit slices over the mmap-backed
   :class:`~repro.artifact.ArtifactView` and never reconstructs the
   object graph.  Only the rich methods (``explain``/``why``/``chop``)
-  materialize, once per entry, via :meth:`CacheEntry.program`.
+  materialize it — by re-analyzing the artifact's embedded source, once
+  per entry — via :meth:`CacheEntry.program`.
 * **Artifact integrity** — stored artifacts are digest-verified at
   load (see :mod:`repro.artifact.format`); a background scrubber
   deep-verifies the whole store on a timer, quarantining corrupt

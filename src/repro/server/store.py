@@ -1,29 +1,24 @@
 """On-disk content-addressed store of flat analysis artifacts.
 
 Each artifact lives at ``<root>/<key[:2]>/<key>.art`` where ``key`` is
-the cache key from :func:`repro.server.cache.cache_key`.  Since format
-3 the file *is* the flat artifact (:mod:`repro.artifact`) — raw bytes
-straight from a worker, no envelope — and :meth:`load_view` serves it
-as a read-only ``mmap``-backed :class:`~repro.artifact.ArtifactView`:
-a warm-disk hit costs one map plus a header parse, and every process
+the cache key from :func:`repro.server.cache.cache_key`.  The file
+*is* the flat artifact (:mod:`repro.artifact`) — raw bytes straight
+from a worker, no envelope — and :meth:`load_view` serves it as a
+read-only ``mmap``-backed :class:`~repro.artifact.ArtifactView`: a
+warm-disk hit costs one map plus a header parse, and every process
 mapping the same file (all shards behind the router share one store
-root) shares one page-cache copy of it.
-
-Format-2 entries — pickle envelopes at ``<key>.pkl`` from older
-deployments — are still honored: :meth:`load_view` falls back to the
-legacy path, re-encodes the artifact flat, writes the ``.art`` file,
-and deletes the pickle (lazy migration; counted in ``stats.migrated``).
+root) shares one page-cache copy of it.  Nothing the store reads is
+ever unpickled.
 
 Bad files are never propagated and never fatal, but *stale* and
-*corrupt* are handled differently.  Stale files (written by another
-package version, filed under the wrong key) are legitimate encodings
-nobody wants anymore: they are discarded and recomputed.  Corrupt
-files (digest mismatch, truncated section table, garbage bytes,
-persistently unreadable) are evidence of a disk or deployment problem:
-they are moved to ``<root>/corrupt/`` for post-mortem instead of being
-silently unlinked, counted in ``stats.quarantined``, and the entry is
-recomputed.  Format-1 flat artifacts (no digests) are lazily
-re-encoded to format 2 on first read, exactly like the pickle path.
+*corrupt* are handled differently.  Stale files (another artifact
+format, written by another package version, filed under the wrong
+key) are legitimate encodings nobody wants anymore: they are discarded
+and recomputed.  Corrupt files (digest mismatch, truncated section
+table, garbage bytes, persistently unreadable) are evidence of a disk
+or deployment problem: they are moved to ``<root>/corrupt/`` for
+post-mortem instead of being silently unlinked, counted in
+``stats.quarantined``, and the entry is recomputed.
 
 Writes go through a temp file + ``fsync`` + :func:`os.replace` so a
 crash mid-save leaves either the old artifact or none, but never a
@@ -47,30 +42,37 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import AnalyzedProgram, __version__
+from repro import AnalyzedProgram
 from repro.artifact import (
-    ARTIFACT_FORMAT,
     ArtifactError,
-    ArtifactFormatError,
     ArtifactStaleError,
     ArtifactView,
     encode_artifact,
-    migrate_flat_v1,
 )
 from repro.server.faults import FaultPlan
 
-#: Store format: 3 = raw flat artifacts (``.art``); 2 = legacy pickle
-#: envelopes (``.pkl``), still readable and lazily migrated.
-FORMAT_VERSION = 3
-LEGACY_FORMAT_VERSION = 2
-
 logger = logging.getLogger("repro.server")
+
+
+def _open_valid(path: Path, key: str, verify: str) -> ArtifactView:
+    """Open ``path`` at ``verify`` and check its version/key stamp.
+
+    Raises :class:`ArtifactStaleError` for intact-but-unwanted bytes
+    (another format, package version or key) and any other
+    :class:`ArtifactError` for corrupt ones; never leaks the mapping.
+    """
+    view = ArtifactView.open(path, verify=verify)
+    try:
+        view.validate(key)
+    except ArtifactError:
+        view.close()
+        raise
+    return view
 
 
 @dataclass
@@ -84,9 +86,6 @@ class StoreStats:
     save_errors: int = 0
     evicted: int = 0
     tmp_swept: int = 0
-    #: Legacy entries (format-2 pickles and format-1 flat artifacts)
-    #: re-encoded to the current format on first warm read.
-    migrated: int = 0
     #: Corruption detected (serve-time load or scrub), whatever became
     #: of the file afterwards.
     corrupt_found: int = 0
@@ -105,7 +104,6 @@ class StoreStats:
             "save_errors": self.save_errors,
             "evicted": self.evicted,
             "tmp_swept": self.tmp_swept,
-            "migrated": self.migrated,
             "corrupt_found": self.corrupt_found,
             "quarantined": self.quarantined,
             "scrubs": self.scrubs,
@@ -161,9 +159,6 @@ class DiskStore:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.art"
 
-    def legacy_path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
     @property
     def corrupt_dir(self) -> Path:
         return self.root / "corrupt"
@@ -180,18 +175,16 @@ class DiskStore:
         if self.fault_plan is not None:
             self.fault_plan.on_store_load(path)
         try:
-            view = ArtifactView.open(
-                path, verify=self.verify if verify is None else verify
+            view = _open_valid(
+                path, key, self.verify if verify is None else verify
             )
         except FileNotFoundError:
             self._read_failures.pop(str(path), None)
-            return self._load_legacy(key)
-        except ArtifactFormatError as exc:
-            if exc.found < ARTIFACT_FORMAT:
-                return self._migrate_flat(key, path)
-            self.stats.discarded += 1
-            logger.warning("discarding stale artifact %s: %s", path, exc)
-            path.unlink(missing_ok=True)
+            self.stats.misses += 1
+            return None
+        except ArtifactStaleError as exc:
+            self._read_failures.pop(str(path), None)
+            self._discard(path, exc)
             return None
         except ArtifactError as exc:
             self.stats.corrupt_found += 1
@@ -211,16 +204,14 @@ class DiskStore:
                 logger.warning("store read failed for %s: %s", path, exc)
             return None
         self._read_failures.pop(str(path), None)
-        try:
-            view.validate(key)
-        except ArtifactError as exc:
-            view.close()
-            self.stats.discarded += 1
-            logger.warning("discarding stale artifact %s: %s", path, exc)
-            path.unlink(missing_ok=True)
-            return None
         self.stats.hits += 1
         return view
+
+    def _discard(self, path: Path, exc: ArtifactError) -> None:
+        """Unlink a stale (intact but unwanted) artifact."""
+        self.stats.discarded += 1
+        logger.warning("discarding stale artifact %s: %s", path, exc)
+        path.unlink(missing_ok=True)
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupt file to ``corrupt/`` for post-mortem.
@@ -263,77 +254,6 @@ class DiskStore:
             stale.unlink(missing_ok=True)
             stale.with_suffix(stale.suffix + ".reason").unlink(missing_ok=True)
 
-    def _migrate_flat(self, key: str, path: Path) -> ArtifactView | None:
-        """Format-1 flat fallback: re-encode with digests, in place.
-
-        Mirrors :meth:`_load_legacy` one format later — the store
-        upgrades itself one warm read at a time, no offline rewrite."""
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            self.stats.misses += 1
-            logger.warning("store read failed for %s: %s", path, exc)
-            return None
-        try:
-            payload = migrate_flat_v1(blob, key)
-        except ArtifactStaleError as exc:
-            self.stats.discarded += 1
-            logger.warning("discarding stale artifact %s: %s", path, exc)
-            path.unlink(missing_ok=True)
-            return None
-        except ArtifactError as exc:
-            self.stats.corrupt_found += 1
-            self._quarantine(path, f"format-1 migration failed: {exc}")
-            return None
-        self.save_bytes(key, payload)
-        self.stats.migrated += 1
-        self.stats.hits += 1
-        return ArtifactView.from_buffer(payload)
-
-    def _load_legacy(self, key: str) -> ArtifactView | None:
-        """Format-2 fallback: unpickle the envelope once, re-encode it
-        flat, persist the ``.art`` file, and retire the pickle."""
-        path = self.legacy_path_for(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError as exc:
-            self.stats.misses += 1
-            logger.warning("store read failed for %s: %s", path, exc)
-            return None
-        try:
-            envelope: Any = pickle.loads(blob)
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("format") != LEGACY_FORMAT_VERSION
-                or envelope.get("version") != __version__
-                or envelope.get("key") != key
-            ):
-                raise ValueError("stale or mismatched envelope")
-            legacy_payload = envelope["payload"]
-            if not isinstance(legacy_payload, bytes):
-                raise ValueError("unexpected payload type")
-            analyzed = pickle.loads(legacy_payload)
-            if not isinstance(analyzed, AnalyzedProgram):
-                raise ValueError("unexpected artifact type")
-            payload = encode_artifact(analyzed, key=key)
-        except Exception as exc:
-            self.stats.discarded += 1
-            logger.warning("discarding bad artifact %s: %s", path, exc)
-            path.unlink(missing_ok=True)
-            return None
-        self.save_bytes(key, payload)
-        path.unlink(missing_ok=True)
-        self.stats.migrated += 1
-        self.stats.hits += 1
-        view = ArtifactView.from_buffer(payload)
-        # Migration already paid the unpickle; keep the rich program so
-        # a follow-up to_analyzed_program() is free.
-        view._program = analyzed
-        return view
-
     def load_payload(self, key: str) -> bytes | None:
         """Raw validated artifact bytes for ``key``, or None.
 
@@ -356,22 +276,6 @@ class DiskStore:
             return None
         view.close()
         return payload
-
-    def load(self, key: str) -> AnalyzedProgram | None:
-        """Materialized variant of :meth:`load_view` for callers that
-        need the rich object graph (CLI batch mode, tests)."""
-        view = self.load_view(key)
-        if view is None:
-            return None
-        try:
-            return view.to_analyzed_program()
-        except Exception as exc:
-            self.stats.corrupt_found += 1
-            view.close()
-            self._quarantine(
-                self.path_for(key), f"unmaterializable artifact: {exc}"
-            )
-            return None
 
     def save(self, key: str, analyzed: AnalyzedProgram) -> None:
         """Serialize and persist one artifact (thread-executor path)."""
@@ -452,81 +356,46 @@ class DiskStore:
             found.append(path.stem)
         return sorted(found)
 
-    def write_legacy_pickle(self, key: str, analyzed: AnalyzedProgram) -> None:
-        """Write a format-2 pickle envelope at the legacy path.
-
-        Exists for the migration tests and the flat-vs-pickle store
-        benchmark; production saves always go flat."""
-        path = self.legacy_path_for(key)
-        envelope = {
-            "format": LEGACY_FORMAT_VERSION,
-            "version": __version__,
-            "key": key,
-            "payload": pickle.dumps(
-                replace(analyzed, timings=None),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as handle:
-            pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-
     def scrub(self) -> dict[str, Any]:
         """Deep-verify every stored artifact; quarantine what fails.
 
         Walks all ``.art`` files, re-checking the whole-file digest,
         every per-section digest, structural bounds, and the package
         version/key stamp.  Corrupt files move to ``corrupt/``; stale
-        files are discarded; format-1 files are left for lazy per-read
-        migration.  Returns (and records in :attr:`last_scrub`) a
-        summary dict.  The daemon runs this at startup and on a timer;
-        it is safe concurrently with serving — a live mmap follows its
-        inode, not the path the scrubber moves.
+        files (any other format included) are discarded.  Returns (and
+        records in :attr:`last_scrub`) a summary dict.  The daemon runs
+        this at startup and on a timer; it is safe concurrently with
+        serving — a live mmap follows its inode, not the path the
+        scrubber moves.
         """
         self.stats.scrubs += 1
         self.sweep_tmp()
-        clean = corrupt = stale = legacy = 0
+        clean = corrupt = stale = 0
         for path in sorted(self.root.glob("*/*.art")):
             if path.parent.name == "corrupt":
                 continue
             key = path.stem
             try:
-                view = ArtifactView.open(path, verify="deep")
+                view = _open_valid(path, key, "deep")
             except FileNotFoundError:
                 continue
-            except ArtifactFormatError as exc:
-                if exc.found < ARTIFACT_FORMAT:
-                    legacy += 1
-                    continue
-                self.stats.discarded += 1
+            except ArtifactStaleError as exc:
                 stale += 1
-                path.unlink(missing_ok=True)
+                self._discard(path, exc)
                 continue
             except (ArtifactError, OSError) as exc:
                 self.stats.corrupt_found += 1
                 corrupt += 1
                 self._quarantine(path, f"scrub: {exc}")
                 continue
-            try:
-                view.validate(key)
-            except ArtifactError as exc:
-                self.stats.discarded += 1
-                stale += 1
-                logger.warning("scrub discarding stale %s: %s", path, exc)
-                path.unlink(missing_ok=True)
-            else:
-                clean += 1
-            finally:
-                view.close()
+            view.close()
+            clean += 1
         self.stats.scrubbed += clean
         summary = {
             "at": time.time(),
             "clean": clean,
             "corrupt": corrupt,
             "stale": stale,
-            "legacy": legacy,
         }
         self.last_scrub = summary
         return summary
@@ -536,8 +405,7 @@ class DiskStore:
 
         Returns the total size (bytes) remaining.  Eviction order is
         modification time, so the most recently saved artifacts survive;
-        both flat and not-yet-migrated legacy entries count against the
-        budget; a concurrently vanished file is skipped, never fatal.
+        a concurrently vanished file is skipped, never fatal.
 
         Pruning unlinks *paths*, not mappings: an ``ArtifactView`` the
         in-memory LRU still holds keeps its mmap — and therefore the
@@ -548,16 +416,15 @@ class DiskStore:
         self.sweep_tmp()
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for pattern in ("*/*.art", "*/*.pkl"):
-            for path in self.root.glob(pattern):
-                if path.parent.name == "corrupt":
-                    continue
-                try:
-                    info = path.stat()
-                except OSError:
-                    continue
-                entries.append((info.st_mtime, info.st_size, path))
-                total += info.st_size
+        for path in self.root.glob("*/*.art"):
+            if path.parent.name == "corrupt":
+                continue
+            try:
+                info = path.stat()
+            except OSError:
+                continue
+            entries.append((info.st_mtime, info.st_size, path))
+            total += info.st_size
         entries.sort()
         for _mtime, size, path in entries:
             if total <= max_bytes:

@@ -5,9 +5,8 @@
 an :class:`~repro.artifact.ArtifactView` — node ids are dense ints, the
 edge-kind filter is a byte-table lookup, and seeds come from the
 artifact's binary-searched line index.  A warm-disk slice therefore
-touches only the pages holding the arrays it traverses; the pickled
-``RICH`` section (and the whole ``AnalyzedProgram`` graph it encodes)
-stays cold on disk.
+touches only the pages holding the arrays it traverses; no
+``AnalyzedProgram`` object graph is rebuilt.
 
 :class:`FlatSliceResult` duck-types :class:`~repro.slicing.engine.
 SliceResult` for everything the server payloads consume — ``seeds``,

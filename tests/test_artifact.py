@@ -26,7 +26,6 @@ from repro.artifact import (
     MAGIC,
     ArtifactError,
     ArtifactView,
-    canonical_bytes,
     content_key,
     encode_artifact,
 )
@@ -144,18 +143,20 @@ class TestRoundTrip:
         assert restored.timings is None
         assert restored.sdg.statement_count() == analyzed.sdg.statement_count()
         assert restored.sdg.edge_count() == analyzed.sdg.edge_count()
-        # Memoized: the unpickle happens once.
+        # Memoized: the re-analysis happens once.
         assert view.to_analyzed_program() is restored
 
     def test_reanalysis_round_trip_without_rich(self):
-        """Without the RICH section the view re-derives the program
-        from its embedded source + options."""
-        source, analyzed, _, _ = bundle("figure2")
-        lean = encode_artifact(analyzed, include_rich=False)
-        view = ArtifactView.from_buffer(lean)
+        """The artifact stores no rich object graph: the view re-derives
+        the program from its embedded source + options, and that program
+        encodes back to the very same bytes."""
+        _, analyzed, payload, _ = bundle("figure2")
+        view = ArtifactView.from_buffer(payload)
         restored = view.to_analyzed_program()
+        assert restored is not analyzed
         assert restored.sdg.statement_count() == analyzed.sdg.statement_count()
         assert restored.sdg.edge_count() == analyzed.sdg.edge_count()
+        assert encode_artifact(restored, key=view.key) == payload
 
     def test_source_text_round_trips(self):
         source, analyzed, _, view = bundle("figure2")
@@ -208,7 +209,7 @@ class TestRejection:
 
 
 class TestDeterminism:
-    """Canonical bytes are a pure function of (source, options, version).
+    """Artifact bytes are a pure function of (source, options, version).
 
     History: before this format existed, cross-process artifact
     determinism was faked by substituting a ``_NIL = ()`` sentinel for
@@ -220,32 +221,27 @@ class TestDeterminism:
     *structural* and let the sentinel hack retire.  The subprocess test
     below is the regression guard: it re-encodes the same program under
     a different ``PYTHONHASHSEED`` in a fresh interpreter (fresh ASLR
-    layout) and must produce identical canonical bytes.
+    layout) and must produce the identical whole payload.
     """
 
     def test_two_encodes_agree_in_process(self):
         _, analyzed, payload, view = bundle("figure2")
         again = encode_artifact(analyzed, key=view.key)
-        assert canonical_bytes(again) == canonical_bytes(payload)
-
-    def test_canonical_bytes_exclude_only_rich(self):
-        _, analyzed, payload, view = bundle("figure2")
-        lean = encode_artifact(analyzed, key=view.key, include_rich=False)
-        assert canonical_bytes(lean) == canonical_bytes(payload)
+        assert hashlib.sha256(again).digest() == hashlib.sha256(payload).digest()
 
     def test_canonical_bytes_stable_across_hash_seeds(self):
         source, _, payload, view = bundle("figure2")
-        expected = hashlib.sha256(canonical_bytes(payload)).hexdigest()
+        expected = hashlib.sha256(payload).hexdigest()
         script = (
             "import hashlib, sys\n"
             "from repro import AnalyzeOptions, analyze\n"
-            "from repro.artifact import canonical_bytes, content_key, encode_artifact\n"
+            "from repro.artifact import content_key, encode_artifact\n"
             "from repro.suite.loader import load_source\n"
             "source = load_source('figure2')\n"
             "analyzed = analyze(source, 'figure2.mj')\n"
             "key = content_key(source, AnalyzeOptions())\n"
             "payload = encode_artifact(analyzed, key=key)\n"
-            "print(hashlib.sha256(canonical_bytes(payload)).hexdigest())\n"
+            "print(hashlib.sha256(payload).hexdigest())\n"
         )
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = "271828"

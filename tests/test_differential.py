@@ -296,23 +296,19 @@ def test_scc_heavy_slices_identical():
 
 
 class TestProcessArtifactDeterminism:
-    """Canonical artifact sections must be a pure function of the input.
+    """Artifact bytes must be a pure function of the input.
 
     The serialize-once path stores a worker's flat artifact bytes
     straight into the content-addressed disk store, so a *warm* pool
-    worker must produce exactly the canonical sections a cold, freshly
-    started interpreter produces — for every suite program, in one
-    fixed worker pair (warm reuse is the adversarial part: a prior
-    task's compile history leaking into node numbering or call-site
-    uids is precisely the bug class this guards against).  Only the
-    ``RICH`` pickle escape hatch may differ across processes
-    (``hash(None)`` ASLR shapes its memo topology), which is why the
-    comparison digests ``canonical_bytes``, not the full payload."""
+    worker must produce exactly the payload a cold, freshly started
+    interpreter produces — for every suite program, in one fixed
+    worker pair (warm reuse is the adversarial part: a prior task's
+    compile history leaking into node numbering or call-site uids is
+    precisely the bug class this guards against)."""
 
     REFERENCE_SCRIPT = textwrap.dedent(
         """
         import hashlib, json, sys
-        from repro.artifact import canonical_bytes
         from repro.parallel import analyze_artifact
         from repro.suite.harness import SUITE_PROGRAMS
         from repro.suite.loader import load_source
@@ -320,14 +316,13 @@ class TestProcessArtifactDeterminism:
         digests = {}
         for name in SUITE_PROGRAMS:
             payload, _ = analyze_artifact(load_source(name), name + ".mj")
-            digests[name] = hashlib.sha256(canonical_bytes(payload)).hexdigest()
+            digests[name] = hashlib.sha256(payload).hexdigest()
         print(json.dumps(digests))
         """
     )
 
     def test_warm_worker_bytes_match_cold_interpreter(self):
         import repro
-        from repro.artifact import canonical_bytes
 
         src_dir = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ)
@@ -351,9 +346,7 @@ class TestProcessArtifactDeterminism:
                 payload, _ = pool.run(
                     analyze_artifact, load_source(name), name + ".mj"
                 )
-                got[name] = hashlib.sha256(
-                    canonical_bytes(payload)
-                ).hexdigest()
+                got[name] = hashlib.sha256(payload).hexdigest()
         assert got == want
 
 

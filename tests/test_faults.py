@@ -273,7 +273,7 @@ class TestTornWrites:
         assert store.stats.saves == 1  # the torn one
 
         # A fresh process: the torn artifact must be quarantined, never
-        # unpickled into a bad object, and the analysis recomputed.
+        # served as a bad view, and the analysis recomputed.
         second = AnalysisCache(store=DiskStore(tmp_path / "store"))
         recomputed, origin = second.get_or_analyze(SOURCE, "figure2.mj")
         assert origin == "analyzed"

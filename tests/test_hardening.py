@@ -374,7 +374,7 @@ class TestStoreTmpSweep:
         analyzed = analyze(load_source("figure2"), "figure2.mj")
         store.save("ab" + "0" * 62, analyzed)
         assert list(tmp_path.glob("*/*.tmp.*")) == []
-        assert store.load("ab" + "0" * 62) is not None
+        assert store.load_view("ab" + "0" * 62) is not None
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,7 @@ def _cold_payload(
     source: str, options: AnalyzeOptions, filename: str = "<input>"
 ) -> bytes:
     analyzed = analyze(source, filename, options=options)
-    return encode_artifact(
-        analyzed, key=content_key(source, options), include_rich=False
-    )
+    return encode_artifact(analyzed, key=content_key(source, options))
 
 
 def _session(source: str, options: AnalyzeOptions) -> IncrementalSession:
@@ -39,9 +37,7 @@ def _session(source: str, options: AnalyzeOptions) -> IncrementalSession:
     return IncrementalSession.from_analyzed(
         analyzed,
         source,
-        payload=encode_artifact(
-            analyzed, key=content_key(source, options), include_rich=False
-        ),
+        payload=encode_artifact(analyzed, key=content_key(source, options)),
     )
 
 

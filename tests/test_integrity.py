@@ -1,5 +1,5 @@
 """Artifact integrity end to end: digests, structural validation,
-format migration, scrubbing, quarantine, and serve-time degrade.
+stale formats, scrubbing, quarantine, and serve-time degrade.
 
 The invariant all of these defend: corrupt bytes cost latency (a
 quarantine move plus a cold re-analysis), never a wrong answer.
@@ -18,7 +18,6 @@ from repro.artifact import (
     ArtifactDigestError,
     ArtifactError,
     ArtifactFormatError,
-    ArtifactStaleError,
     ArtifactView,
     content_key,
     encode_artifact,
@@ -27,7 +26,6 @@ from repro.artifact.format import (
     _FILE_CRC_OFFSET,
     _file_crc,
     pack_sections,
-    pack_sections_v1,
     parse_sections,
 )
 from repro.server.cache import AnalysisCache, CacheEntry, cache_key
@@ -45,7 +43,7 @@ OPTIONS = AnalyzeOptions(include_stdlib=False)
 
 
 def make_payload(source: str = SMALL) -> tuple[str, bytes]:
-    """``(key, format-2 artifact bytes)`` for one tiny analysis."""
+    """``(key, artifact bytes)`` for one tiny analysis."""
     key = content_key(source, OPTIONS)
     analyzed = analyze(source, "<test>", options=OPTIONS)
     return key, encode_artifact(analyzed, key=key)
@@ -65,13 +63,13 @@ def repack_with(payload: bytes, tag: bytes, data: bytes) -> bytes:
     return pack_sections(sections)
 
 
-def downgrade_to_v1(payload: bytes) -> bytes:
-    """The same sections re-packed in the digest-less v1 layout."""
-    sections = [
-        (name, bytes(payload[offset : offset + length]))
-        for name, (offset, length) in parse_sections(payload).items()
-    ]
-    return pack_sections_v1(sections)
+def restamp_format(payload: bytes, fmt: int) -> bytes:
+    """``payload`` with header format ``fmt`` and a matching file crc:
+    an intact file from another layout version."""
+    blob = bytearray(payload)
+    struct.pack_into("<I", blob, 8, fmt)
+    struct.pack_into("<I", blob, _FILE_CRC_OFFSET, _file_crc(blob))
+    return bytes(blob)
 
 
 class TestDigestRejection:
@@ -123,57 +121,63 @@ class TestDigestRejection:
         assert info.value.found == ARTIFACT_FORMAT + 1
 
 
-class TestFormatMigration:
-    def test_v1_artifact_lazily_migrated_on_load(self, tmp_path):
+#: Formats other than the current one: the two pre-release layouts
+#: and a future one.  All of them are merely stale.
+OTHER_FORMATS = [1, 2, ARTIFACT_FORMAT + 1]
+
+
+class TestStaleFormat:
+    @pytest.mark.parametrize("fmt", OTHER_FORMATS)
+    def test_other_format_discarded_by_load_view(self, tmp_path, fmt):
         key, payload = make_payload()
         store = DiskStore(tmp_path)
         path = store.path_for(key)
         path.parent.mkdir(parents=True)
-        path.write_bytes(downgrade_to_v1(payload))
+        path.write_bytes(restamp_format(payload, fmt))
 
-        view = store.load_view(key)
-        assert view is not None
-        assert store.stats.migrated == 1
-        assert store.stats.quarantined == 0
-        # The file was rewritten in the current format and passes deep
-        # verification; every flat section round-trips byte-identical
-        # (RICH is a pickle and pickle bytes are not canonical).
-        rewritten = path.read_bytes()
-        assert struct.unpack_from("<I", rewritten, 8)[0] == ARTIFACT_FORMAT
-        migrated = ArtifactView.from_buffer(rewritten, verify="deep")
-        old_spans = parse_sections(payload)
-        new_spans = parse_sections(rewritten)
-        for tag, (offset, length) in old_spans.items():
-            if tag == b"RICH":
-                continue
-            new_offset, new_length = new_spans[tag]
-            assert (
-                rewritten[new_offset : new_offset + new_length]
-                == payload[offset : offset + length]
-            ), tag
-        assert view.counts == migrated.counts
+        assert store.load_view(key) is None
+        assert store.stats.discarded == 1
+        assert store.stats.corrupt_found == store.stats.quarantined == 0
+        assert not path.exists()
+        assert not (store.corrupt_dir / path.name).exists()
 
-    def test_v1_with_wrong_key_discarded_not_quarantined(self, tmp_path):
-        # A v1 file under the wrong address is stale, not corrupt: the
-        # migration's semantic validation refuses it and it is unlinked.
-        _, payload = make_payload()
-        other_key = content_key(OTHER, OPTIONS)
+    @pytest.mark.parametrize("fmt", OTHER_FORMATS)
+    def test_other_format_discarded_by_scrub(self, tmp_path, fmt):
+        key, payload = make_payload()
         store = DiskStore(tmp_path)
-        path = store.path_for(other_key)
+        path = store.path_for(key)
         path.parent.mkdir(parents=True)
-        path.write_bytes(downgrade_to_v1(payload))
+        path.write_bytes(restamp_format(payload, fmt))
 
-        assert store.load_view(other_key) is None
+        summary = store.scrub()
+        assert (summary["clean"], summary["corrupt"], summary["stale"]) == (
+            0,
+            0,
+            1,
+        )
         assert store.stats.discarded == 1
         assert store.stats.quarantined == 0
         assert not path.exists()
 
-    def test_migrate_flat_v1_rejects_wrong_key(self):
-        from repro.artifact import migrate_flat_v1
+    def test_other_format_recomputed_by_cache(self, tmp_path):
+        key, payload = make_payload()
+        store = DiskStore(tmp_path)
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(restamp_format(payload, ARTIFACT_FORMAT - 1))
 
-        _, payload = make_payload()
-        with pytest.raises(ArtifactStaleError):
-            migrate_flat_v1(downgrade_to_v1(payload), "0" * 64)
+        cache = AnalysisCache(store=store)
+        _entry, origin = cache.get_entry(SMALL, "<test>", OPTIONS)
+        assert origin == "analyzed"
+        assert store.stats.discarded == 1
+        assert store.stats.quarantined == 0
+        # The recomputed artifact replaced the stale file in place.
+        assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == (
+            ARTIFACT_FORMAT
+        )
+        assert AnalysisCache(store=store).get_entry(
+            SMALL, "<test>", OPTIONS
+        )[1] == "disk"
 
 
 class TestScrub:
@@ -207,7 +211,6 @@ class TestScrub:
             "clean": 1,
             "corrupt": 1,
             "stale": 1,
-            "legacy": 0,
         }
         # Corrupt bytes are evidence and move to corrupt/ with a reason.
         quarantined = store.corrupt_dir / corrupt_path.name
@@ -218,18 +221,6 @@ class TestScrub:
         assert not (store.corrupt_dir / stale_path.name).exists()
         assert store.stats.quarantined == 1
         assert store.stats.discarded == 1
-
-    def test_scrub_leaves_v1_files_for_lazy_migration(self, tmp_path):
-        key, payload = make_payload()
-        store = DiskStore(tmp_path)
-        path = store.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(downgrade_to_v1(payload))
-        summary = store.scrub()
-        assert summary["legacy"] == 1
-        assert path.exists()
-        assert store.load_view(key) is not None
-        assert store.stats.migrated == 1
 
     def test_scrub_skips_already_quarantined_files(self, tmp_path):
         store, _ = self.seed_store(tmp_path)

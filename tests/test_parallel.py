@@ -8,11 +8,13 @@ can reuse a healthy worker does.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 
 import pytest
 
+from repro.artifact import ArtifactView
 from repro.budget import Budget, BudgetExceeded
 from repro.parallel import (
     CRASH_EXIT_CODE,
@@ -20,8 +22,6 @@ from repro.parallel import (
     WorkerCrashed,
     WorkerError,
     analyze_artifact,
-    artifact_payload,
-    load_artifact,
 )
 
 # ----------------------------------------------------------------------
@@ -188,33 +188,46 @@ class TestArtifactTasks:
         payload, timings = pool.run(
             analyze_artifact, self.SOURCE, "unit.mj", None
         )
-        analyzed = load_artifact(payload)
+        analyzed = ArtifactView.from_buffer(payload).to_analyzed_program()
         assert analyzed.sdg.statement_count() > 0
         assert analyzed.timings is None  # stripped from the artifact
         assert timings  # ... but shipped out-of-band
 
     def test_artifact_bytes_are_deterministic_across_workers(self, pool):
-        """Every worker must encode the same analysis to the same
-        canonical sections.  The RICH pickle is deliberately excluded:
-        it serializes the object graph, whose set/dict iteration orders
-        depend on per-process ``hash(None)`` (address-derived under
-        ASLR on Python < 3.12) — which is exactly why the slice path
-        reads the canonical sections and never the pickle."""
-        from repro.artifact import canonical_bytes
+        """Every worker must encode the same analysis to the same whole
+        payload, even though set/dict iteration orders inside each
+        worker depend on per-process ``hash(None)`` (address-derived
+        under ASLR on Python < 3.12).  Four concurrent tasks keep both
+        pool workers busy; the parent's own encode must agree too."""
+        from concurrent.futures import ThreadPoolExecutor
 
-        blobs = {
-            canonical_bytes(
-                pool.run(analyze_artifact, self.SOURCE, "unit.mj", None)[0]
+        from repro import AnalyzeOptions, analyze
+        from repro.artifact import content_key, encode_artifact
+
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            payloads = list(
+                threads.map(
+                    lambda _: pool.run(
+                        analyze_artifact, self.SOURCE, "unit.mj", None
+                    )[0],
+                    range(4),
+                )
             )
-            for _ in range(4)
-        }
-        assert len(blobs) == 1
+        digests = {hashlib.sha256(payload).hexdigest() for payload in payloads}
+        local = encode_artifact(
+            analyze(self.SOURCE, "unit.mj"),
+            key=content_key(self.SOURCE, AnalyzeOptions()),
+        )
+        assert digests == {hashlib.sha256(local).hexdigest()}
 
     def test_artifact_payload_strips_timings_only(self):
         from repro import analyze
+        from repro.artifact import encode_artifact
 
         analyzed = analyze(self.SOURCE, "unit.mj")
-        restored = load_artifact(artifact_payload(analyzed))
+        restored = ArtifactView.from_buffer(
+            encode_artifact(analyzed)
+        ).to_analyzed_program()
         assert restored.timings is None
         assert restored.sdg.edge_count() == analyzed.sdg.edge_count()
 

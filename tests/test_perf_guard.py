@@ -231,16 +231,18 @@ def test_scale_corpus_matches_generator():
 
 
 @pytest.mark.perf
-def test_flat_warm_disk_3x_faster_than_pickle(tmp_path):
+def test_flat_warm_disk_3x_faster_than_pickle(tmp_path, monkeypatch):
     """The zero-copy acceptance bar: a warm-disk load + slice over the
-    mmap-backed flat artifact must be ≥3x faster than the retired
-    pickle-envelope path on the largest suite program.  (Measured gap
-    is ~100-300x — mapping a few pages vs unpickling the whole object
-    graph — so 3x only trips if the flat path starts materializing.)"""
-    import pickle
-
+    mmap-backed flat artifact must be ≥3x faster than materializing
+    the rich program from the same stored artifact
+    (``to_analyzed_program()``, a re-analysis of the embedded source)
+    and slicing that, on the largest suite program.  (Measured gap is
+    several hundred x, so 3x only trips if the flat path starts
+    materializing — which the patched escape hatch below also refuses
+    structurally.)  The name predates the comparator; CI's perf-guards
+    job selects the test by it."""
     from repro import AnalyzeOptions, analyze
-    from repro.artifact import content_key
+    from repro.artifact import ArtifactView, content_key
     from repro.server.store import DiskStore
     from repro.slicing.flatslice import flat_slicer
 
@@ -251,8 +253,6 @@ def test_flat_warm_disk_3x_faster_than_pickle(tmp_path):
     analyzed = analyze(source, f"{name}.mj", options=options)
     store = DiskStore(tmp_path)
     store.save(key, analyzed)
-    legacy = DiskStore(tmp_path / "legacy")
-    legacy.write_legacy_pickle(key, analyzed)
     seed = sorted(
         {i.position.line for i in analyzed.compiled.ir.all_instructions()
          if i.position.line}
@@ -263,16 +263,22 @@ def test_flat_warm_disk_3x_faster_than_pickle(tmp_path):
         assert flat_slicer(view, "thin").slice_from_line(seed).lines
         view.close()
 
-    def pickle_warm():
-        envelope = pickle.loads(legacy.legacy_path_for(key).read_bytes())
-        restored = pickle.loads(envelope["payload"])
+    def rich_warm():
+        view = store.load_view(key)
+        restored = view.to_analyzed_program()
         assert restored.thin_slicer.slice_from_line(seed).lines
+        view.close()
 
-    flat_s = min(_timed(flat_warm) for _ in range(3))
-    pickle_s = min(_timed(pickle_warm) for _ in range(3))
-    assert flat_s * 3 <= pickle_s, (
+    def never_materialize(view):
+        raise AssertionError("flat warm path materialized the view")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ArtifactView, "to_analyzed_program", never_materialize)
+        flat_s = min(_timed(flat_warm) for _ in range(3))
+    rich_s = min(_timed(rich_warm) for _ in range(3))
+    assert flat_s * 3 <= rich_s, (
         f"flat warm path {flat_s * 1000:.2f}ms not 3x faster than "
-        f"pickle {pickle_s * 1000:.2f}ms"
+        f"materialize + rich slice {rich_s * 1000:.2f}ms"
     )
 
 

@@ -90,9 +90,7 @@ class TestStoreHook:
         from repro import analyze
         from repro.artifact.encode import encode_artifact
 
-        payload = encode_artifact(
-            analyze(source, options=options), key=key, include_rich=False
-        )
+        payload = encode_artifact(analyze(source, options=options), key=key)
         store.save_bytes(key, payload)
         assert seen == [(key, payload)]
         # Received replica copies are saved with replicate=False and
@@ -114,9 +112,7 @@ class TestStoreHook:
         from repro import analyze
         from repro.artifact.encode import encode_artifact
 
-        payload = encode_artifact(
-            analyze(source, options=options), key=key, include_rich=False
-        )
+        payload = encode_artifact(analyze(source, options=options), key=key)
         store.save_bytes(key, payload)
         assert store.load_payload(key) == payload
 
@@ -358,9 +354,7 @@ class TestSharedPeerConnection:
         options = AnalyzeOptions()
         source = load_source("figure1")
         key = content_key(source, options)
-        payload = encode_artifact(
-            analyze(source, options=options), key=key, include_rich=False
-        )
+        payload = encode_artifact(analyze(source, options=options), key=key)
         peer = _SlowPeer(key, payload, delay_s=0.1)
         me = "127.0.0.1:1"  # never dialed: a replicator skips itself
         replicator = Replicator(
@@ -611,7 +605,6 @@ class TestCheckpointResume:
         cold = encode_artifact(
             analyze(edited, "fig1.mj", options=options),
             key=content_key(edited, options),
-            include_rich=False,
         )
         assert bytes(entry.view._buffer) == cold
 

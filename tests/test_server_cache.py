@@ -129,7 +129,7 @@ class TestDiskTier:
         path = store.path_for(cache_key(SMALL, OPTIONS))
         path.write_bytes(path.read_bytes()[: 100])
         fresh = DiskStore(tmp_path)
-        assert fresh.load(cache_key(SMALL, OPTIONS)) is None
+        assert fresh.load_view(cache_key(SMALL, OPTIONS)) is None
         assert not path.exists()
         assert fresh.stats.quarantined == 1
         assert (fresh.corrupt_dir / path.name).exists()
@@ -146,7 +146,7 @@ class TestDiskTier:
         struct.pack_into("<I", blob, len(MAGIC), ARTIFACT_FORMAT + 1)
         path.write_bytes(bytes(blob))
         fresh = DiskStore(tmp_path)
-        assert fresh.load(key) is None
+        assert fresh.load_view(key) is None
         assert fresh.stats.discarded == 1
 
     def test_key_mismatch_discarded(self, tmp_path):
@@ -157,11 +157,11 @@ class TestDiskTier:
         moved = store.path_for(other_key)
         moved.parent.mkdir(parents=True, exist_ok=True)
         moved.write_bytes(good.read_bytes())
-        assert DiskStore(tmp_path).load(other_key) is None
+        assert DiskStore(tmp_path).load_view(other_key) is None
 
     def test_missing_artifact_counts_as_miss(self, tmp_path):
         store = DiskStore(tmp_path)
-        assert store.load("0" * 64) is None
+        assert store.load_view("0" * 64) is None
         assert store.stats.misses == 1 and store.stats.discarded == 0
 
     def test_save_failure_is_nonfatal(self, tmp_path, monkeypatch):
@@ -176,53 +176,27 @@ class TestDiskTier:
         assert store.stats.save_errors == 1
 
 
-class TestLegacyMigration:
-    """Format-2 pickle envelopes are honored once and retired flat."""
+class TestLeftoverPickle:
+    """A ``<key>.pkl`` left by a pre-release store is never read."""
 
-    def _seed_legacy(self, tmp_path):
-        analyzed, _ = AnalysisCache(store=None).get_or_analyze(
-            SMALL, "a.mj", OPTIONS
-        )
+    def test_leftover_pickle_is_ignored(self, tmp_path):
         key = cache_key(SMALL, OPTIONS)
         store = DiskStore(tmp_path)
-        store.write_legacy_pickle(key, analyzed)
-        return store, key
+        leftover = store.root / key[:2] / f"{key}.pkl"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_bytes(b"\x80\x04 a pickle nobody may load")
 
-    def test_legacy_pickle_is_served_and_migrated(self, tmp_path):
-        store, key = self._seed_legacy(tmp_path)
-        assert store.legacy_path_for(key).exists()
-        assert not store.path_for(key).exists()
-        view = store.load_view(key)
-        assert view is not None
-        assert view.counts["sdg_statements"] > 0
-        # The pickle is gone, the flat artifact is in its place.
-        assert not store.legacy_path_for(key).exists()
-        assert store.path_for(key).exists()
-        assert store.stats.migrated == 1 and store.stats.hits == 1
-
-    def test_migrated_artifact_serves_flat_next_time(self, tmp_path):
-        store, key = self._seed_legacy(tmp_path)
-        store.load_view(key)
-        fresh = DiskStore(tmp_path)
-        view = fresh.load_view(key)
-        assert view is not None
-        assert fresh.stats.migrated == 0 and fresh.stats.hits == 1
-        view.close()
-
-    def test_legacy_hit_counts_as_disk_origin(self, tmp_path):
-        store, key = self._seed_legacy(tmp_path)
-        cache = AnalysisCache(store=store)
-        analyzed, origin = cache.get_or_analyze(SMALL, "a.mj", OPTIONS)
-        assert origin == "disk"
-        assert analyzed.sdg.statement_count() > 0
-
-    def test_stale_legacy_envelope_discarded(self, tmp_path):
-        store, key = self._seed_legacy(tmp_path)
-        path = store.legacy_path_for(key)
-        path.write_bytes(b"\x80\x04 not an envelope")
         assert store.load_view(key) is None
-        assert store.stats.discarded == 1
-        assert not path.exists()
+        assert store.stats.misses == 1
+        assert store.stats.discarded == store.stats.quarantined == 0
+        cache = AnalysisCache(store=store)
+        _, origin = cache.get_or_analyze(SMALL, "a.mj", OPTIONS)
+        assert origin == "analyzed"
+        # Untouched: not served, not migrated, not counted or pruned.
+        assert leftover.exists()
+        assert store.keys() == [key]
+        store.prune(0)
+        assert leftover.exists()
 
 
 class TestPrune:
