@@ -23,12 +23,11 @@ Emits ``results/router.txt`` and ``results/BENCH_router.json``.
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from _util import emit, format_table
+from _util import emit, environment, format_table
 from repro.lang.source import marker_line
 from repro.server.client import SliceClient
 from repro.server.router import Router
@@ -121,7 +120,8 @@ def _measure_routed(shards: int, sources) -> dict:
 
 
 def test_router_throughput(results_dir):
-    cpu_count = os.cpu_count() or 1
+    env = environment()
+    cpu_count = env["cpu_count"] or 1
     sources = _sources()
 
     single = _measure_single(sources)
@@ -155,7 +155,7 @@ def test_router_throughput(results_dir):
     payload = {
         "benchmark": "router",
         "program": PROGRAM,
-        "cpu_count": cpu_count,
+        **env,
         "thresholds_enforced": thresholds_enforced,
         "distinct_sources": DISTINCT_SOURCES,
         "warm_hit": {"single": single}
@@ -166,7 +166,8 @@ def test_router_throughput(results_dir):
         rows,
     )
     table += (
-        f"\ncpu_count={cpu_count} thresholds_enforced={thresholds_enforced}\n"
+        f"\ncpu_count={cpu_count} python={env['python']} "
+        f"commit={env['commit']} thresholds_enforced={thresholds_enforced}\n"
     )
     emit(results_dir, "router.txt", table)
     (results_dir / "BENCH_router.json").write_text(

@@ -36,7 +36,7 @@ import time
 
 from _util import REPO, emit, environment, format_table
 from repro import AnalyzeOptions, analyze
-from repro.artifact import ArtifactView, content_key
+from repro.artifact import ArtifactView, content_key, encode_artifact
 from repro.server.store import DiskStore
 from repro.slicing.flatslice import flat_slicer
 from repro.suite.harness import SUITE_PROGRAMS
@@ -107,7 +107,7 @@ def test_store_warm_path(results_dir, tmp_path):
         analyzed = analyze(source, f"{name}.mj", options=options)
         analyze_ms = (time.perf_counter() - start) * 1000
 
-        flat_store.save(key, analyzed)
+        flat_store.save_bytes(key, encode_artifact(analyzed, key=key))
         art_bytes = flat_store.path_for(key).stat().st_size
 
         probe = flat_store.load_view(key)

@@ -25,6 +25,7 @@ reconstructing a single SDG object.
 
 from __future__ import annotations
 
+import array
 import json
 import mmap
 import threading
@@ -118,6 +119,7 @@ class ArtifactView:
         self._text: str | None = None
         self._lines: list[str] | None = None
         self._formal_outs: list[int] | None = None
+        self._forward: tuple | None = None
         self._program = None
         self._lock = threading.Lock()
 
@@ -302,6 +304,37 @@ class ArtifactView:
                 n for n in range(self.node_count) if kind[n] == KIND_FORMAL_OUT
             ]
         return self._formal_outs
+
+    def forward_edges(self) -> tuple[array.array, array.array, bytes]:
+        """Forward CSR ``(fidx, fsrc, fknd)``: the transpose of the
+        backward ``(eidx, etgt, eknd)`` arrays, so node ``n``'s
+        consumers are ``fsrc[fidx[n]:fidx[n + 1]]``.
+
+        Built by one counting-sort pass the first time a forward walk
+        (a chop) needs it, then memoized; a racing second build yields
+        the same arrays, so the unlocked publish is safe.  Each row
+        lists consumers in ascending node order.
+        """
+        if self._forward is None:
+            n = self.node_count
+            eidx, etgt, eknd = self.eidx, self.etgt, self.eknd
+            fidx = array.array("I", bytes(4 * (n + 1)))
+            for target in etgt:
+                fidx[target + 1] += 1
+            for node in range(n):
+                fidx[node + 1] += fidx[node]
+            cursor = fidx[:n]
+            fsrc = array.array("I", bytes(4 * len(etgt)))
+            fknd = bytearray(len(etgt))
+            for node in range(n):
+                for i in range(eidx[node], eidx[node + 1]):
+                    target = etgt[i]
+                    slot = cursor[target]
+                    cursor[target] = slot + 1
+                    fsrc[slot] = node
+                    fknd[slot] = eknd[i]
+            self._forward = (fidx, fsrc, bytes(fknd))
+        return self._forward
 
     def seeds_at_line(self, line: int) -> list[int]:
         row = bisect_left(self._lkey, line)

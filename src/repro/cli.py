@@ -250,6 +250,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _local_view(source: str, name: str, args: argparse.Namespace):
+    """The flat artifact view the daemon would serve for ``source``, so
+    local ``explain``/``why``/``chop`` share its payload builders."""
+    from repro.artifact import ArtifactView, encode_artifact
+
+    analyzed = analyze(source, name, include_stdlib=not args.no_stdlib)
+    return ArtifactView.from_buffer(encode_artifact(analyzed))
+
+
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.server.protocol import explain_payload
 
@@ -264,14 +273,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             include_stdlib=not args.no_stdlib,
         )
     else:
-        analyzed = analyze(source, name, include_stdlib=not args.no_stdlib)
-        if not any(
-            analyzed.sdg.nodes_of_instruction(i)
-            for i in analyzed.compiled.instructions_at_line(args.line)
-        ):
-            print(f"no statements found at {name}:{args.line}", file=sys.stderr)
-            return 1
-        payload = explain_payload(analyzed, program=name, line=args.line)
+        payload = explain_payload(
+            _local_view(source, name, args), program=name, line=args.line
+        )
+    if not payload["seed_count"]:
+        print(f"no statements found at {name}:{args.line}", file=sys.stderr)
+        return 1
     for conditional in payload["conditionals"]:
         print(f"{conditional['line']:5d}  {conditional['text']}")
     if not payload["conditionals"]:
@@ -294,9 +301,8 @@ def _cmd_why(args: argparse.Namespace) -> int:
             include_stdlib=not args.no_stdlib,
         )
     else:
-        analyzed = analyze(source, name, include_stdlib=not args.no_stdlib)
         payload = why_payload(
-            analyzed,
+            _local_view(source, name, args),
             program=name,
             source_line=args.source,
             sink_line=args.sink,
@@ -332,16 +338,8 @@ def _cmd_chop(args: argparse.Namespace) -> int:
             include_stdlib=not args.no_stdlib,
         )
     else:
-        from repro.slicing.chopping import thin_chop, traditional_chop
-
-        analyzed = analyze(source, name, include_stdlib=not args.no_stdlib)
-        chopper = traditional_chop if args.traditional else thin_chop
-        result = chopper(
-            analyzed.compiled, analyzed.sdg, args.source, args.sink
-        )
         payload = chop_payload(
-            result,
-            analyzed,
+            _local_view(source, name, args),
             program=name,
             source_line=args.source,
             sink_line=args.sink,

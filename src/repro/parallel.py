@@ -118,6 +118,8 @@ def _worker_main(conn: multiprocessing.connection.Connection) -> None:
     process death (never an exception) leaves the loop without a
     response, and the parent detects that as EOF on the pipe.
     """
+    from repro.ir.instructions import reset_instruction_uids
+
     conn.send(("ready", os.getpid()))
     while True:
         try:
@@ -127,6 +129,16 @@ def _worker_main(conn: multiprocessing.connection.Connection) -> None:
         if task is None:  # graceful shutdown sentinel
             break
         fn, args, kwargs = task
+        # No instruction outlives a task, so rewinding the uid counter
+        # is safe here (and only here): it keeps instruction uids
+        # identical across workers and restarts.  A serving parent
+        # must never do this: its incremental edit sessions
+        # (repro.incremental) hold live instructions across requests
+        # and only ever advance the counter.  The two schemes coexist
+        # because artifact bytes encode call sites as *ranks* within
+        # the uid order, not absolute uids, so a worker's payload and
+        # one encoded in the parent stay byte-identical.
+        reset_instruction_uids()
         try:
             result = fn(*args, **kwargs)
         except Exception as exc:
@@ -157,7 +169,12 @@ def analyze_artifact(
     inject_crash: bool = False,
     inject_alloc_mb: float = 0.0,
 ) -> tuple[bytes, dict | None]:
-    """Pool task: one cold analysis, returned as flat artifact bytes.
+    """One cold analysis, returned as flat artifact bytes.
+
+    The single cold-miss path of the serving cache: a pool worker runs
+    it as a task, and the cache calls it in-process when no process
+    executor is attached (the fault dials and the memory backstop stay
+    at their defaults there).
 
     Returns ``(payload, timings)`` where ``payload`` is the
     :func:`~repro.artifact.encode_artifact` bytes (deterministic — see
@@ -200,20 +217,7 @@ def analyze_artifact(
                 ) from None
         from repro import AnalyzeOptions, analyze
         from repro.artifact import content_key, encode_artifact
-        from repro.ir.instructions import reset_instruction_uids
 
-        # One analysis per task and no surviving instructions between
-        # tasks, so rewinding the uid counter is safe here (and only
-        # here): it keeps instruction uids — which the artifact stores
-        # as call-site ids — identical across workers and restarts.
-        # The parent process must never do this: its incremental edit
-        # sessions (repro.incremental) hold live instructions across
-        # requests and only ever advance the counter.  The two schemes
-        # coexist because artifact bytes encode call sites as *ranks*
-        # within the uid order, not absolute uids, so a worker's cold
-        # payload and the parent's incremental payload stay
-        # byte-identical.
-        reset_instruction_uids()
         # The frontend's stdlib AST cache bakes the filename string into
         # positions it reuses across analyses; interning keeps a warm
         # worker from mixing last task's string into this task's graph.

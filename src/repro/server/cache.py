@@ -8,7 +8,7 @@ hit, regardless of filename; changing any option (or any byte of the
 source) misses.
 
 Lookup order: memory → disk → replica → incremental →
-:func:`repro.analyze`.  The replica level (an optional
+:func:`repro.parallel.analyze_artifact`.  The replica level (an optional
 ``replica_fetch`` hook, installed by
 :class:`repro.server.replication.Replicator`) asks the other ring
 holders of the key for a copy before recomputing; fetched bytes are
@@ -24,18 +24,18 @@ still yields byte-identical artifact bytes (see
 :mod:`repro.incremental`).
 
 The unit cached is a :class:`CacheEntry`: a flat
-:class:`~repro.artifact.ArtifactView` and/or the rich
-:class:`~repro.AnalyzedProgram`.  The slice/stats hot path runs
-straight off the view (mmap-backed on a disk hit — the object graph is
-never reconstructed); rich-only methods (explain/why/chop) call
-:meth:`CacheEntry.program`, which re-analyzes the artifact's embedded
-source once per view-only entry and memoizes.
+:class:`~repro.artifact.ArtifactView` and nothing else.  Every method
+the daemon serves (slice, stats, explain, why, chop) runs straight off
+the view — mmap-backed on a disk hit — so the object graph is never
+reconstructed to answer a query.
 
-With an ``executor`` (a :class:`repro.parallel.ProcessPool`), misses
-run :func:`repro.parallel.analyze_artifact` in a worker process and
-the parent receives *flat artifact bytes*: those bytes go to the disk
-tier unchanged via :meth:`DiskStore.save_bytes` and the in-memory LRU
-holds a view over the same buffer — serialize once, deserialize never.
+Every cold miss runs :func:`repro.parallel.analyze_artifact`: in a
+worker process when an ``executor`` (a
+:class:`repro.parallel.ProcessPool`) is attached, in-process
+otherwise.  Either way the cache receives *flat artifact bytes*: those
+bytes go to the disk tier unchanged via :meth:`DiskStore.save_bytes`
+and the in-memory LRU holds a view over the same buffer — serialize
+once, deserialize never, and both executors store the same bytes.
 """
 
 from __future__ import annotations
@@ -43,17 +43,16 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro import AnalyzedProgram, AnalyzeOptions, analyze
+from repro import AnalyzedProgram, AnalyzeOptions
 from repro.artifact import ArtifactView, content_key
 from repro.parallel import ProcessPool, WorkerError, analyze_artifact
 from repro.resources import ResourceExceeded
 from repro.server.faults import FaultPlan
 from repro.server.fragments import FragmentStore
 from repro.server.store import DiskStore
-from repro.slicing.flatslice import flat_slicer
 
 logger = logging.getLogger("repro.server")
 
@@ -70,65 +69,14 @@ def cache_key(source: str, options: AnalyzeOptions) -> str:
     return content_key(source, options)
 
 
+@dataclass
 class CacheEntry:
-    """One cached analysis, lazily materialized.
+    """One cached analysis: a flat ``view`` plus ``timings``, the run's
+    stage profile when this entry was produced by a live analysis (None
+    for warm hits — wall times are per-run data)."""
 
-    Holds a flat ``view``, a rich ``program``, or both; ``timings`` is
-    the run's stage profile when this entry was produced by a live
-    analysis (None for warm hits — wall times are per-run data).
-    """
-
-    def __init__(
-        self,
-        view: ArtifactView | None = None,
-        program: AnalyzedProgram | None = None,
-        timings: dict | None = None,
-    ) -> None:
-        if view is None and program is None:
-            raise ValueError("CacheEntry needs a view or a program")
-        self.view = view
-        self.timings = timings
-        self._program = program
-        self._lock = threading.Lock()
-
-    def program(self) -> AnalyzedProgram:
-        """The rich object graph (escape hatch; memoized, thread-safe)."""
-        if self._program is None:
-            with self._lock:
-                if self._program is None:
-                    program = self.view.to_analyzed_program()
-                    if self.timings is not None:
-                        program.timings = self.timings
-                    self._program = program
-        return self._program
-
-    def slicer(self, flavor: str):
-        """A thin/traditional slicer over whichever form is cheapest:
-        the already-rich program if one exists, else the flat view."""
-        if self._program is not None:
-            if flavor == "thin":
-                return self._program.thin_slicer
-            if flavor == "traditional":
-                return self._program.traditional_slicer
-            raise ValueError(f"unknown slice flavor: {flavor}")
-        return flat_slicer(self.view, flavor)
-
-    def stats_counts(self) -> dict[str, Any]:
-        """The count fields of the ``stats`` payload, without forcing
-        materialization: flat artifacts carry them in META."""
-        if self._program is None:
-            return dict(self.view.counts)
-        analyzed = self._program
-        graph = analyzed.pts.call_graph
-        return {
-            "classes": len(analyzed.compiled.table.classes),
-            "functions_ir": len(analyzed.compiled.ir.functions),
-            "reachable_functions": graph.function_count(),
-            "call_graph_nodes": graph.node_count(),
-            "call_graph_edges": graph.edge_count(),
-            "sdg_statements": analyzed.sdg.statement_count(),
-            "sdg_edges": analyzed.sdg.edge_count(),
-        }
+    view: ArtifactView
+    timings: dict | None = None
 
 
 class AnalysisCache:
@@ -245,21 +193,17 @@ class AnalysisCache:
             # entry behind, same as a failing real analysis.
             self.fault_plan.on_analysis(options.budget)
         if self.executor is not None and executor_ok:
-            entry, payload = self._analyze_in_executor(
+            payload, timings = self._analyze_in_executor(
                 source, filename, options
             )
         else:
-            analyzed = analyze(source, filename, options=options)
-            entry = CacheEntry(program=analyzed, timings=analyzed.timings)
-            payload = None
+            payload, timings = analyze_artifact(source, filename, options)
+        entry = CacheEntry(ArtifactView.from_buffer(payload), timings)
         with self._lock:
             self.misses += 1
             self._put(key, entry)
         if self.store is not None:
-            if payload is not None:
-                self.store.save_bytes(key, payload)
-            else:
-                self.store.save(key, entry.program())
+            self.store.save_bytes(key, payload)
         if self.fragments is not None:
             # A completed cold analysis is the seed material for this
             # lineage's future edits (materialized lazily on the next
@@ -267,27 +211,14 @@ class AnalysisCache:
             self.fragments.note_cold(key, source, filename, options)
         return entry, "analyzed"
 
-    def get_or_analyze(
-        self,
-        source: str,
-        filename: str = "<input>",
-        options: AnalyzeOptions | None = None,
-        executor_ok: bool = True,
-    ) -> tuple[AnalyzedProgram, str]:
-        """Materialized variant of :meth:`get_entry` for callers that
-        need the rich object graph."""
-        entry, origin = self.get_entry(source, filename, options, executor_ok)
-        return entry.program(), origin
-
     def _analyze_in_executor(
         self, source: str, filename: str, options: AnalyzeOptions
-    ) -> tuple[CacheEntry, bytes]:
+    ) -> tuple[bytes, dict | None]:
         """Run one cold analysis on a worker process.
 
-        Returns ``(entry, payload)``: the worker's flat artifact bytes
-        plus an entry holding a view over them, with the run's timings
-        (shipped out-of-band — they are observability data, not
-        artifact content) attached to the entry only.
+        Returns the worker's ``(payload, timings)``: flat artifact
+        bytes plus the run's stage profile (shipped out-of-band — it is
+        observability data, not artifact content).
         """
         inject_crash = False
         inject_delay = 0.0
@@ -304,7 +235,7 @@ class AnalysisCache:
             # pickling the options for the task message.
             options = replace(options, budget=None)
         try:
-            payload, timings = self.executor.run(
+            return self.executor.run(
                 analyze_artifact,
                 source,
                 filename,
@@ -323,41 +254,32 @@ class AnalysisCache:
                 # produces, so callers see one taxonomy.
                 raise ResourceExceeded("memory", exc.message) from None
             raise
-        view = ArtifactView.from_buffer(payload)
-        return CacheEntry(view=view, timings=timings), payload
 
     def _load_for_seed(
         self, key: str, source: str, filename: str, options: AnalyzeOptions
-    ) -> tuple[AnalyzedProgram, bytes | None] | None:
+    ) -> tuple[AnalyzedProgram, bytes] | None:
         """Retrieve a cold result for session seeding (memory, then
-        disk).  Materializing an artifact re-analyzes from its embedded
+        disk).  Materializing the artifact re-analyzes its embedded
         source — the one-time cost of converting a lineage to
-        incremental serving; returns None when the result is gone from
-        both tiers (the lineage just stays cold)."""
+        incremental serving, and the only place the serving tier
+        builds the rich object graph.  It is built on a throwaway view
+        over a copy of the bytes, so no cached entry keeps it alive.
+        Returns None when the result is gone from both tiers (the
+        lineage just stays cold)."""
         with self._lock:
             entry = self._entries.get(key)
         if entry is not None:
-            payload = None
-            view = entry.view
-            if view is not None:
-                buffer = getattr(view, "_buffer", None)
-                if buffer is not None:
-                    payload = bytes(buffer)
-            try:
-                return entry.program(), payload
-            except Exception:
-                return None
-        if self.store is not None:
+            payload = bytes(entry.view._buffer)
+        elif self.store is not None:
             payload = self.store.load_payload(key)
-            if payload is not None:
-                try:
-                    program = ArtifactView.from_buffer(
-                        payload
-                    ).to_analyzed_program()
-                except Exception:
-                    return None
-                return program, payload
-        return None
+        else:
+            payload = None
+        if payload is None:
+            return None
+        try:
+            return ArtifactView.from_buffer(payload).to_analyzed_program(), payload
+        except Exception:
+            return None
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry from the memory tier (serve-time degrade).

@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from repro import AnalyzedProgram
-from repro.slicing.chopping import ChopResult
+from repro.artifact import ArtifactView
 from repro.slicing.engine import SliceResult
 
 PROTOCOL_VERSION = 1
@@ -139,45 +139,34 @@ def stats_payload_from_counts(
     }
 
 
-def explain_payload(
-    analyzed: AnalyzedProgram, *, program: str, line: int
-) -> dict[str, Any]:
-    from repro.slicing.expansion import control_explainers
+def explain_payload(view: ArtifactView, *, program: str, line: int) -> dict[str, Any]:
+    from repro.slicing.flatslice import flat_control_lines
 
-    lines = analyzed.compiled.source.lines()
-    conditionals: list[dict[str, Any]] = []
-    seen: set[int] = set()
-    for instr in analyzed.compiled.instructions_at_line(line):
-        if not analyzed.sdg.nodes_of_instruction(instr):
-            continue
-        for conditional in control_explainers(analyzed.sdg, instr).conditionals:
-            conditional_line = conditional.position.line
-            if conditional_line in seen or not (
-                1 <= conditional_line <= len(lines)
-            ):
-                continue
-            seen.add(conditional_line)
-            conditionals.append(
-                {
-                    "line": conditional_line,
-                    "text": lines[conditional_line - 1].strip(),
-                }
-            )
-    conditionals.sort(key=lambda entry: entry["line"])
-    return {"program": program, "line": line, "conditionals": conditionals}
+    lines = view.source_lines()
+    conditionals = [
+        {"line": cond_line, "text": lines[cond_line - 1].strip()}
+        for cond_line in sorted(flat_control_lines(view, line))
+        if 1 <= cond_line <= len(lines)
+    ]
+    return {
+        "program": program,
+        "line": line,
+        "seed_count": len(view.seeds_at_line(line)),
+        "conditionals": conditionals,
+    }
 
 
 def why_payload(
-    analyzed: AnalyzedProgram,
+    view: ArtifactView,
     *,
     program: str,
     source_line: int,
     sink_line: int,
 ) -> dict[str, Any]:
+    from repro.slicing.flatslice import flat_why
     from repro.tooling.navigator import Navigator
 
-    navigator = Navigator(analyzed.compiled, analyzed.sdg)
-    path = navigator.why(source_line, sink_line)
+    path = flat_why(view, source_line, sink_line)
     payload: dict[str, Any] = {
         "program": program,
         "source_line": source_line,
@@ -195,23 +184,28 @@ def why_payload(
             }
             for step in path
         ]
-        payload["rendered"] = navigator.render_path(path)
+        payload["rendered"] = Navigator.render_path(path)
     return payload
 
 
 def chop_payload(
-    result: ChopResult,
-    analyzed: AnalyzedProgram,
+    view: ArtifactView,
     *,
     program: str,
     source_line: int,
     sink_line: int,
     flavor: str,
 ) -> dict[str, Any]:
-    lines = analyzed.compiled.source.lines()
+    from repro.slicing.flatslice import flat_chop
+
+    nodes = flat_chop(view, source_line, sink_line, flavor)
+    chopped = {
+        view.node_line(node) for node in nodes if view.counts_as_inspected(node)
+    }
+    lines = view.source_lines()
     rows = [
         {"line": line, "text": lines[line - 1].strip()}
-        for line in sorted(result.lines)
+        for line in sorted(chopped)
         if 1 <= line <= len(lines)
     ]
     return {
@@ -219,7 +213,7 @@ def chop_payload(
         "flavor": flavor,
         "source_line": source_line,
         "sink_line": sink_line,
-        "empty": result.empty,
+        "empty": not nodes,
         "lines": rows,
         "line_count": len(rows),
     }

@@ -47,13 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import AnalyzedProgram
-from repro.artifact import (
-    ArtifactError,
-    ArtifactStaleError,
-    ArtifactView,
-    encode_artifact,
-)
+from repro.artifact import ArtifactError, ArtifactStaleError, ArtifactView
 from repro.server.faults import FaultPlan
 
 logger = logging.getLogger("repro.server")
@@ -277,23 +271,13 @@ class DiskStore:
         view.close()
         return payload
 
-    def save(self, key: str, analyzed: AnalyzedProgram) -> None:
-        """Serialize and persist one artifact (thread-executor path)."""
-        try:
-            payload = encode_artifact(analyzed, key=key)
-        except Exception as exc:
-            self.stats.save_errors += 1
-            logger.warning("artifact serialization failed for %s: %s", key, exc)
-            return
-        self.save_bytes(key, payload)
-
     def save_bytes(self, key: str, payload: bytes, replicate: bool = True) -> None:
         """Atomically persist flat artifact bytes.
 
-        This is the *single* write path: :meth:`save` encodes and
-        delegates here, and the process executor hands worker-produced
-        bytes straight through — so torn-write fault injection and the
-        atomic tmp+replace discipline cover both executors identically.
+        This is the *single* write path: every cold miss, incremental
+        result and replica copy arrives here as encoded bytes — so
+        torn-write fault injection and the atomic tmp+replace
+        discipline cover both executors identically.
         The temp file is fsync'd before the rename (and the directory
         after it, best-effort) so the artifact the rename names is
         durable, not sitting in a write-back cache a power cut would

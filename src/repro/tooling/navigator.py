@@ -154,7 +154,8 @@ class Navigator:
             cursor, incoming = parents[cursor]
         return steps
 
-    def render_path(self, steps: list[LineStep]) -> str:
+    @staticmethod
+    def render_path(steps: list[LineStep]) -> str:
         rows = []
         for index, step in enumerate(steps):
             arrow = "    " if index == 0 else " -> "

@@ -236,6 +236,21 @@ class TestServerRouting:
         assert code == 0
         assert remote_out == local_out
 
+    @pytest.mark.parametrize("tag", ["throw", None], ids=["statement", "blank"])
+    def test_explain_via_server_matches_local(self, capsys, address, tag):
+        from repro.lang.source import marker_line
+        from repro.suite.loader import load_source
+
+        # ``None`` picks line 1: a comment, so no statements to explain.
+        line = marker_line(load_source("figure4"), "tag", tag) if tag else 1
+        argv = ["explain", "figure4", "--line", str(line)]
+        local = run_cli(capsys, *argv)
+        remote = run_cli(capsys, *argv, "--server", address)
+        assert remote == local
+        if tag is None:
+            assert local[0] == 1
+            assert local[2] == f"no statements found at figure4.mj:{line}\n"
+
     def test_stats_via_server_json(self, capsys, address):
         import json
 

@@ -268,14 +268,14 @@ class TestTornWrites:
         plan = FaultPlan(torn_writes=1)
         store = DiskStore(tmp_path / "store", fault_plan=plan)
         first = AnalysisCache(store=store)
-        analyzed, origin = first.get_or_analyze(SOURCE, "figure2.mj")
+        entry, origin = first.get_entry(SOURCE, "figure2.mj")
         assert origin == "analyzed"
         assert store.stats.saves == 1  # the torn one
 
         # A fresh process: the torn artifact must be quarantined, never
         # served as a bad view, and the analysis recomputed.
         second = AnalysisCache(store=DiskStore(tmp_path / "store"))
-        recomputed, origin = second.get_or_analyze(SOURCE, "figure2.mj")
+        _recomputed, origin = second.get_entry(SOURCE, "figure2.mj")
         assert origin == "analyzed"
         assert second.store.stats.quarantined == 1
         assert any(second.store.corrupt_dir.glob("*.art"))
@@ -283,9 +283,9 @@ class TestTornWrites:
 
         # Third process: the clean artifact loads from disk.
         third = AnalysisCache(store=DiskStore(tmp_path / "store"))
-        loaded, origin = third.get_or_analyze(SOURCE, "figure2.mj")
+        loaded, origin = third.get_entry(SOURCE, "figure2.mj")
         assert origin == "disk"
-        assert loaded.sdg.edge_count() == analyzed.sdg.edge_count()
+        assert loaded.view.counts["sdg_edges"] == entry.view.counts["sdg_edges"]
 
 
 class TestOverload:

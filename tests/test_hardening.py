@@ -20,8 +20,9 @@ import pytest
 
 from repro import AnalyzeOptions, analyze
 from repro.lang.errors import MJError, ParseError
+from repro.parallel import analyze_artifact
 from repro.resources import ResourceExceeded, process_rss_mb
-from repro.server.cache import AnalysisCache
+from repro.server.cache import AnalysisCache, cache_key
 from repro.server.daemon import SliceServer, start_tcp_server
 from repro.server.faults import FaultPlan
 from repro.server.quarantine import CircuitBreaker, Quarantine
@@ -371,10 +372,12 @@ class TestStoreTmpSweep:
 
     def test_successful_save_leaves_no_tmp(self, tmp_path):
         store = DiskStore(tmp_path)
-        analyzed = analyze(load_source("figure2"), "figure2.mj")
-        store.save("ab" + "0" * 62, analyzed)
+        source = load_source("figure2")
+        key = cache_key(source, AnalyzeOptions())
+        payload, _ = analyze_artifact(source, "figure2.mj")
+        store.save_bytes(key, payload)
         assert list(tmp_path.glob("*/*.tmp.*")) == []
-        assert store.load_view("ab" + "0" * 62) is not None
+        assert store.load_view(key) is not None
 
 
 # ----------------------------------------------------------------------

@@ -34,11 +34,22 @@ from repro.server.faults import (
     stale_artifact_meta,
 )
 from repro.server.store import DiskStore
+from repro.slicing.flatslice import flat_slicer
 from tests.conftest import make_server
 
 SMALL = 'class Main { static void main(String[] args) { print("a"); } }'
 OTHER = 'class Main { static void main(String[] args) { print("b"); } }'
 THIRD = 'class Main { static void main(String[] args) { print("c"); } }'
+FLOWING = """class Main {
+  static void main(String[] args) {
+    int a = 1;
+    int b = a + 1;
+    if (b > 1) {
+      print(b);
+    }
+  }
+}
+"""
 OPTIONS = AnalyzeOptions(include_stdlib=False)
 
 
@@ -185,7 +196,7 @@ class TestScrub:
         store = DiskStore(tmp_path)
         cache = AnalysisCache(store=store)
         for source in (SMALL, OTHER, THIRD):
-            cache.get_or_analyze(source, "a.mj", OPTIONS)
+            cache.get_entry(source, "a.mj", OPTIONS)
         return store, cache
 
     def test_scrub_clean_store(self, tmp_path):
@@ -250,7 +261,7 @@ class TestReadFailureQuarantine:
     ):
         store = DiskStore(tmp_path, read_failure_limit=3)
         cache = AnalysisCache(store=store)
-        cache.get_or_analyze(SMALL, "a.mj", OPTIONS)
+        cache.get_entry(SMALL, "a.mj", OPTIONS)
         key = cache_key(SMALL, OPTIONS)
         path = store.path_for(key)
 
@@ -278,7 +289,7 @@ class TestReadFailureQuarantine:
         # After recomputation (a fresh cache — the old one still holds
         # the entry in memory) the store heals and the counter resets.
         monkeypatch.setattr(ArtifactView, "open", staticmethod(real_open))
-        AnalysisCache(store=store).get_or_analyze(SMALL, "a.mj", OPTIONS)
+        AnalysisCache(store=store).get_entry(SMALL, "a.mj", OPTIONS)
         assert store.load_view(key) is not None
         assert store._read_failures == {}
 
@@ -293,25 +304,25 @@ class TestLiveViewsOutliveEviction:
     def test_lru_view_survives_prune_unlink(self, tmp_path):
         store = DiskStore(tmp_path)
         cache = AnalysisCache(store=store)
-        cache.get_or_analyze(SMALL, "a.mj", OPTIONS)
+        cache.get_entry(SMALL, "a.mj", OPTIONS)
         key = cache_key(SMALL, OPTIONS)
 
         restarted = AnalysisCache(store=DiskStore(tmp_path))
         entry, origin = restarted.get_entry(SMALL, "a.mj", OPTIONS)
         assert origin == "disk" and entry.view is not None
-        before = entry.slicer("thin").slice_from_line(1).traversal.order
+        before = flat_slicer(entry.view, "thin").slice_from_line(1).traversal.order
 
         remaining = restarted.store.prune(0)
         assert remaining == 0
         assert not restarted.store.path_for(key).exists()
         # The unlinked-but-mapped view still serves identical answers.
-        after = entry.slicer("thin").slice_from_line(1).traversal.order
+        after = flat_slicer(entry.view, "thin").slice_from_line(1).traversal.order
         assert after == before
         assert entry.view.counts["sdg_statements"] > 0
 
     def test_lru_view_survives_quarantine_move(self, tmp_path):
         store = DiskStore(tmp_path)
-        AnalysisCache(store=store).get_or_analyze(SMALL, "a.mj", OPTIONS)
+        AnalysisCache(store=store).get_entry(SMALL, "a.mj", OPTIONS)
         key = cache_key(SMALL, OPTIONS)
         view = store.load_view(key)
         assert view is not None
@@ -324,7 +335,7 @@ class TestLiveViewsOutliveEviction:
 class TestFaultDials:
     def drill(self, tmp_path, plan: FaultPlan) -> DiskStore:
         store = DiskStore(tmp_path)
-        AnalysisCache(store=store).get_or_analyze(SMALL, "a.mj", OPTIONS)
+        AnalysisCache(store=store).get_entry(SMALL, "a.mj", OPTIONS)
         store.fault_plan = plan
         return store
 
@@ -335,7 +346,7 @@ class TestFaultDials:
         assert store.stats.quarantined == 1
         # The dial is one-shot; after recompute the store heals.
         cache = AnalysisCache(store=store)
-        analyzed, origin = cache.get_or_analyze(SMALL, "a.mj", OPTIONS)
+        _entry, origin = cache.get_entry(SMALL, "a.mj", OPTIONS)
         assert origin == "analyzed"
         assert store.load_view(key) is not None
 
@@ -363,21 +374,31 @@ class TestServeTimeDegrade:
         line = json.dumps({"id": 1, "method": method, "params": params})
         return json.loads(server.handle_line(line))
 
-    def test_mid_slice_corruption_degrades_to_recompute(self, tmp_path):
+    #: Every query method walks edges of ``FLOWING`` (line 4 feeds
+    #: line 6, which the ``if`` on line 5 governs), so each of them
+    #: reads a poisoned ``ETGT`` entry.
+    QUERIES = {
+        "slice": {"line": 6},
+        "explain": {"line": 6},
+        "why": {"source_line": 4, "sink_line": 6},
+        "chop": {"source_line": 4, "sink_line": 6},
+    }
+
+    @pytest.mark.parametrize("method", sorted(QUERIES))
+    def test_mid_slice_corruption_degrades_to_recompute(self, tmp_path, method):
         store = DiskStore(tmp_path)
         server = make_server(AnalysisCache(store=store), executor="thread")
+        params = dict(source=FLOWING, include_stdlib=False, **self.QUERIES[method])
         try:
-            first = self.rpc(
-                server, "slice", source=SMALL, line=1, include_stdlib=False
-            )
+            first = self.rpc(server, method, **params)
             assert first["ok"]
-            truth = first["result"]["lines"]
+            truth = {k: v for k, v in first["result"].items() if k != "origin"}
 
             # Poison the in-memory entry with digest-valid bytes whose
             # edge targets are out of range: load-time verification
-            # passes, the flat walk raises mid-slice.  (Simulates
+            # passes, the flat walk raises mid-query.  (Simulates
             # post-verification memory rot; cache_key is the daemon's.)
-            key = cache_key(SMALL, AnalyzeOptions(include_stdlib=False))
+            key = cache_key(FLOWING, AnalyzeOptions(include_stdlib=False))
             path = store.path_for(key)
             payload = path.read_bytes()
             spans = parse_sections(payload)
@@ -386,12 +407,11 @@ class TestServeTimeDegrade:
                 view=ArtifactView.from_buffer(bad, verify="none")
             )
 
-            second = self.rpc(
-                server, "slice", source=SMALL, line=1, include_stdlib=False
-            )
+            second = self.rpc(server, method, **params)
             assert second["ok"], second
-            assert second["result"]["lines"] == truth
-            assert second["result"]["origin"] == "analyzed"
+            result = second["result"]
+            assert {k: v for k, v in result.items() if k != "origin"} == truth
+            assert result["origin"] == "analyzed"
             assert server.degraded_recomputes == 1
             # The on-disk copy was pulled for post-mortem and rewritten
             # clean by the recompute.
@@ -409,7 +429,7 @@ class TestServeTimeDegrade:
         import time
 
         store = DiskStore(tmp_path)
-        AnalysisCache(store=store).get_or_analyze(SMALL, "a.mj", OPTIONS)
+        AnalysisCache(store=store).get_entry(SMALL, "a.mj", OPTIONS)
         path = store.path_for(cache_key(SMALL, OPTIONS))
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x10

@@ -242,7 +242,7 @@ def test_flat_warm_disk_3x_faster_than_pickle(tmp_path, monkeypatch):
     structurally.)  The name predates the comparator; CI's perf-guards
     job selects the test by it."""
     from repro import AnalyzeOptions, analyze
-    from repro.artifact import ArtifactView, content_key
+    from repro.artifact import ArtifactView, content_key, encode_artifact
     from repro.server.store import DiskStore
     from repro.slicing.flatslice import flat_slicer
 
@@ -252,7 +252,7 @@ def test_flat_warm_disk_3x_faster_than_pickle(tmp_path, monkeypatch):
     key = content_key(source, options)
     analyzed = analyze(source, f"{name}.mj", options=options)
     store = DiskStore(tmp_path)
-    store.save(key, analyzed)
+    store.save_bytes(key, encode_artifact(analyzed, key=key))
     seed = sorted(
         {i.position.line for i in analyzed.compiled.ir.all_instructions()
          if i.position.line}

@@ -4,12 +4,16 @@ Every dependence the tracing interpreter *observes* corresponds to a
 may-dependence the static analysis must predict.  Concretely: the
 dynamic thin slice of an output value (a chain of events that actually
 happened) must be contained, line-wise, in the static thin slice seeded
-at the same print statement.  Running this over every suite program and
-test input is an end-to-end soundness check of points-to + SDG + slicer
-against the executable semantics.
+at the same print statement — both the rich slicer's and the one an
+in-process :class:`~repro.server.daemon.SliceServer` serves from the
+flat artifact.  Running this over every suite program and test input is
+an end-to-end soundness check of points-to + SDG + slicer (+ artifact
+encoding) against the executable semantics.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -17,6 +21,8 @@ from repro.analysis.pointsto import solve_points_to
 from repro.dynamic import dynamic_thin_slice, dynamic_traditional_slice, trace_program
 from repro.frontend import compile_source
 from repro.sdg.sdg import build_sdg
+from repro.server.cache import AnalysisCache
+from repro.server.daemon import SliceServer
 from repro.slicing.thin import ThinSlicer
 from repro.slicing.traditional import TraditionalSlicer
 from repro.suite.loader import load_source
@@ -45,23 +51,41 @@ def _setup(name: str, args: list[str]):
     return compiled, sdg, trace
 
 
+@pytest.fixture(scope="module")
+def server():
+    instance = SliceServer(AnalysisCache(), executor="thread")
+    yield instance
+    instance.close()
+
+
+def _served_lines(server: SliceServer, name: str, line: int) -> set[int]:
+    request = {"id": 1, "method": "slice", "params": {"program": name, "line": line}}
+    response = json.loads(server.handle_line(json.dumps(request)))
+    assert response["ok"], response
+    return set(response["result"]["lines"])
+
+
 @pytest.mark.parametrize("name,args", CASES, ids=[c[0] for c in CASES])
-def test_dynamic_thin_contained_in_static_thin(name, args):
+def test_dynamic_thin_contained_in_static_thin(name, args, server):
     compiled, sdg, trace = _setup(name, args)
     static = ThinSlicer(compiled, sdg)
-    static_cache: dict[int, set[int]] = {}
+    static_cache: dict[int, dict[str, set[int]]] = {}
     # Check a sample of output events spread over the run.
     sample = trace.output_events[:: max(1, len(trace.output_events) // 5)]
     for event in sample:
         seed_line = event.line
         if seed_line not in static_cache:
-            static_cache[seed_line] = static.slice_from_line(seed_line).lines
+            static_cache[seed_line] = {
+                "rich": static.slice_from_line(seed_line).lines,
+                "served": _served_lines(server, name, seed_line),
+            }
         dynamic = dynamic_thin_slice([event])
-        missing = dynamic.lines - static_cache[seed_line] - {seed_line, 0}
-        assert not missing, (
-            f"{name}: dynamic producer lines {sorted(missing)} missing from "
-            f"the static thin slice of line {seed_line}"
-        )
+        for path, lines in static_cache[seed_line].items():
+            missing = dynamic.lines - lines - {seed_line, 0}
+            assert not missing, (
+                f"{name}: dynamic producer lines {sorted(missing)} missing "
+                f"from the {path} static thin slice of line {seed_line}"
+            )
 
 
 @pytest.mark.parametrize("name,args", CASES[:4], ids=[c[0] for c in CASES[:4]])
