@@ -7,13 +7,20 @@ injected bug under the tracing interpreter, seeds a dynamic slice at the
 failure (uncaught exception or first wrong output line), and reports
 whether the dynamic thin slice contains the injected statement and how
 its size compares with the dynamic traditional slice.
+
+It also records what interpretation costs: best-of-5 wall time of a
+plain ``run_program`` and of a traced ``trace_program`` on ten suite
+programs (``results/BENCH_dynamic.json``).
 """
 
 from __future__ import annotations
 
+import json
+import time
+
 import pytest
 
-from _util import emit, format_table
+from _util import emit, environment, format_table
 from repro.dynamic import (
     dynamic_thin_slice,
     dynamic_traditional_slice,
@@ -108,3 +115,69 @@ def test_dynamic_table(benchmark, results_dir):
     for r in rows:
         if r["needs_expansion"]:
             assert not r["thin_found"], r["bug"]
+
+
+# The programs and inputs of tests/test_dynamic.py::TestTracerMatchesInterpreter.
+TIMED_RUNS = [
+    ("figure1", ["John Doe", "Jane Roe"]),
+    ("figure5", []),
+    ("rules", []),
+    ("raytrace", []),
+    ("jtopas", ['foo 12 "x y" +']),
+    ("minixml", ["<a id='42'><b>hi</b></a>"]),
+    ("xmlsec", ["Hello XML  Security", "7301"]),
+    ("minijavac", ["x = 1 + 2 * 3; y = x - 4"]),
+    ("minibuild", ["prop n v; target all = echo ${n}"]),
+    ("parsegen", ["S -> a B | c ; B -> b | _"]),
+]
+
+
+def _timed_at_depth(padding: int, run) -> float:
+    """Seconds ``run`` takes when called ``padding`` frames deeper."""
+    if padding:
+        return _timed_at_depth(padding - 1, run)
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
+
+
+def _best_ms(run, rounds: int = 5) -> float:
+    """Best of ``rounds``, each round called from a different stack depth.
+
+    CPython 3.11 keeps frames in 16 kB chunks and frees a chunk when its
+    first frame returns, so a hot loop whose calls straddle a chunk
+    boundary allocates and frees a chunk on every call; raytrace runs
+    2-4x slower at some caller depths.  Spreading the rounds over one
+    chunk's worth of depths keeps the minimum from hinging on where the
+    caller (here pytest) happens to sit.
+    """
+    return min(_timed_at_depth(25 * i, run) for i in range(rounds)) * 1000
+
+
+def test_interpreter_cost(results_dir):
+    programs = {}
+    for name, args in TIMED_RUNS:
+        compiled = compile_source(load_source(name), name, include_stdlib=True)
+        run_ms = _best_ms(lambda: run_program(compiled.ast, compiled.table, args))
+        trace_ms = _best_ms(
+            lambda: trace_program(compiled.ast, compiled.table, args)
+        )
+        programs[name] = {
+            "run_ms": round(run_ms, 3),
+            "trace_ms": round(trace_ms, 3),
+            "trace_over_run": round(trace_ms / run_ms, 2),
+        }
+    payload = {
+        "benchmark": "dynamic_interpreter_cost",
+        "rounds": "best of 5, from 5 stack depths",
+        "run_ms_total": round(sum(p["run_ms"] for p in programs.values()), 3),
+        "trace_ms_total": round(
+            sum(p["trace_ms"] for p in programs.values()), 3
+        ),
+        "programs": programs,
+        **environment(),
+    }
+    (results_dir / "BENCH_dynamic.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
+    assert all(p["run_ms"] > 0 and p["trace_ms"] > 0 for p in programs.values())
