@@ -1,4 +1,9 @@
-"""Dynamic thin slicing: exact dependences from traced executions (§7)."""
+"""Dynamic thin slicing: exact dependences from traced executions (§7).
+
+A traced execution is a run of the reference interpreter
+(:mod:`repro.interp`) with a :class:`TraceSink` attached; see
+:mod:`repro.dynamic.tracer`.
+"""
 
 from repro.dynamic.events import (
     Event,
@@ -16,7 +21,7 @@ from repro.dynamic.slicer import (
     failure_seeds,
     trace_and_slice,
 )
-from repro.dynamic.tracer import DynamicTrace, TracingInterpreter, trace_program
+from repro.dynamic.tracer import DynamicTrace, TraceSink, trace_program
 
 __all__ = [
     "DynamicSlice",
@@ -24,8 +29,8 @@ __all__ = [
     "Event",
     "EventFactory",
     "TraceBudgetExceeded",
+    "TraceSink",
     "TracedRun",
-    "TracingInterpreter",
     "dynamic_thin_slice",
     "dynamic_traditional_slice",
     "failure_seeds",

@@ -1,7 +1,7 @@
 """Dynamic dependence events.
 
-The tracing interpreter (see :mod:`repro.dynamic.tracer`) tags every
-runtime value with the :class:`Event` that produced it.  An event
+A traced run (see :mod:`repro.dynamic.tracer`) pairs every runtime
+value with the :class:`Event` that produced it.  An event
 records its *producer* parents (dynamic flow dependences — the dynamic
 analog of the paper's producer statements), its *base* parents (the
 events that produced dereferenced base pointers / array indices /
@@ -17,28 +17,43 @@ instead of the SDG.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+
+from repro.interp.values import FuelExhausted
 
 _event_ids = itertools.count()
 
 
-@dataclass(eq=False)
 class Event:
-    """One dynamic occurrence of a value-producing statement."""
+    """One dynamic occurrence of a value-producing statement.
 
-    line: int
-    kind: str  # 'const', 'binop', 'load', 'store', 'call', 'branch', ...
-    parents: tuple["Event", ...] = ()
-    base_parents: tuple["Event", ...] = ()
-    control_parent: "Event | None" = None
-    uid: int = field(default_factory=lambda: next(_event_ids), init=False)
+    Events compare by identity.  A traced run creates one per evaluation
+    step, so the class is slotted and builds its ``uid`` inline.
+    """
+
+    __slots__ = ("line", "kind", "parents", "base_parents", "control_parent", "uid")
+
+    def __init__(
+        self,
+        line: int,
+        kind: str,  # 'const', 'binop', 'load', 'store', 'call', 'branch', ...
+        parents: tuple["Event", ...] = (),
+        base_parents: tuple["Event", ...] = (),
+        control_parent: "Event | None" = None,
+    ) -> None:
+        self.line = line
+        self.kind = kind
+        self.parents = parents
+        self.base_parents = base_parents
+        self.control_parent = control_parent
+        self.uid = next(_event_ids)
 
     def __repr__(self) -> str:
         return f"<{self.kind}@{self.line}#{self.uid}>"
 
 
-class TraceBudgetExceeded(Exception):
-    """The execution produced more events than the configured cap."""
+class TraceBudgetExceeded(FuelExhausted):
+    """The execution produced more events than the configured cap; the
+    interpreter ends the run as timed out, as when its fuel runs out."""
 
 
 class EventFactory:

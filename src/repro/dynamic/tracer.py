@@ -1,113 +1,25 @@
-"""Tracing interpreter: exact dynamic dependences for dynamic slicing.
+"""Dynamic tracing: exact dynamic dependences for dynamic slicing.
 
-A second AST interpreter (same semantics as :mod:`repro.interp`, cross-
-checked by tests) in which every value is *tagged* with the event that
-produced it.  Heap cells store tagged values, so a load's producer is
-exactly the store that wrote the cell — no points-to approximation.
-Branch decisions form a dynamic control context; dereferenced pointers
-become base parents.  The result is the dynamic counterpart of the
-paper's dependence taxonomy, enabling dynamic thin slices (§7 relates
-them to Zhang et al.'s dynamic slicing line of work).
+:func:`trace_program` runs the reference interpreter
+(:class:`repro.interp.interpreter.Interpreter`) with a :class:`TraceSink`
+that records, for every value the program computes, the :class:`Event`
+that produced it.  Heap cells map to the store that wrote them, so a
+load's producer is exactly that store — no points-to approximation.
+Branch decisions and calls form a dynamic control context; dereferenced
+pointers become base parents.  The result is the dynamic counterpart of
+the paper's dependence taxonomy, enabling dynamic thin slices (§7
+relates them to Zhang et al.'s dynamic slicing line of work).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from repro.dynamic.events import Event, EventFactory, TraceBudgetExceeded
-from repro.interp.natives import NativeFault, call_native
-from repro.interp.values import FuelExhausted, stringify, values_equal
+from repro.dynamic.events import Event, EventFactory
+from repro.interp.interpreter import Interpreter
+from repro.interp.values import ArrayValue, ExecutionResult, ObjectValue
 from repro.lang import ast
 from repro.lang.symbols import ClassTable
-from repro.lang.types import ArrayType, BOOLEAN, ClassType, INT, Type
-
-_MAX_FRAMES = 900
-
-
-@dataclass
-class TV:
-    """A tagged value: the raw value plus its producing event."""
-
-    value: object
-    event: Event
-
-
-class TracedObject:
-    """Heap object whose fields hold tagged values."""
-
-    __slots__ = ("class_name", "fields")
-
-    def __init__(self, class_name: str, fields: dict[str, TV]) -> None:
-        self.class_name = class_name
-        self.fields = fields
-
-    def __repr__(self) -> str:
-        return f"{self.class_name}@traced"
-
-
-class TracedArray:
-    """Array of tagged values, plus the event that produced its length."""
-
-    __slots__ = ("elements", "length_event")
-
-    def __init__(self, elements: list[TV], length_event: Event) -> None:
-        self.elements = elements
-        self.length_event = length_event
-
-
-class _Signal(Exception):
-    pass
-
-
-class _Break(_Signal):
-    pass
-
-
-class _Continue(_Signal):
-    pass
-
-
-class _Return(_Signal):
-    def __init__(self, tv: TV | None) -> None:
-        self.tv = tv
-        super().__init__()
-
-
-class _Throw(_Signal):
-    def __init__(self, tv: TV) -> None:
-        self.tv = tv
-        super().__init__()
-
-
-class _Frame:
-    __slots__ = ("this", "scopes")
-
-    def __init__(self, this: TracedObject | None) -> None:
-        self.this = this
-        self.scopes: list[dict[str, TV]] = [{}]
-
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
-        self.scopes.pop()
-
-    def declare(self, name: str, tv: TV) -> None:
-        self.scopes[-1][name] = tv
-
-    def get(self, name: str) -> TV:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise KeyError(name)
-
-    def set(self, name: str, tv: TV) -> None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                scope[name] = tv
-                return
-        raise KeyError(name)
 
 
 @dataclass
@@ -131,30 +43,38 @@ class DynamicTrace:
         return self.error is not None or self.timed_out
 
 
-class TracingInterpreter:
-    """Runs a checked program, producing a :class:`DynamicTrace`."""
+class TraceSink:
+    """The event rules of a traced run, fed by the interpreter's hooks.
 
-    def __init__(
-        self,
-        program: ast.Program,
-        table: ClassTable,
-        max_steps: int = 2_000_000,
-        max_events: int = 2_000_000,
-    ) -> None:
-        self.program = program
-        self.table = table
-        self.max_steps = max_steps
+    Hooks follow an operand-stack discipline: every evaluated expression
+    pushes the event that produced its value onto ``stack``, and the
+    hook of the enclosing step pops its operands' events in evaluation
+    order.  An exception abandons operands mid-expression; the catching
+    ``try`` cuts the stack back to its depth on entry.
+
+    Beside the stack the sink keeps the shadow state that gives each
+    read its producer: binding events per frame, field events per
+    object, length and element events per array, static field events,
+    and the control context (the innermost branch or call event, parent
+    of every new event).  Heap events live in the values' ``trace``
+    slot, so they are freed with the object or array they describe.
+    """
+
+    def __init__(self, max_events: int = 2_000_000) -> None:
         self.factory = EventFactory(max_events)
-        self.statics: dict[tuple[str, str], TV] = {}
-        self.output: list[str] = []
+        self._make = self.factory.make
+        self.stack: list[Event] = []
         self.output_events: list[Event] = []
-        self.steps = 0
-        self._frame_depth = 0
         self._control: list[Event] = []
-
-    # ------------------------------------------------------------------
-    # Event helpers
-    # ------------------------------------------------------------------
+        self._frame: dict[str, Event] = {}
+        self._callers: list[dict[str, Event]] = []
+        # "pass" events of arguments not yet bound by the callee's frame.
+        self._pending: list[Event] = []
+        # The "return" event of the invocation now returning, if any.
+        self._returned: Event | None = None
+        # The exception in flight and its "throw" event.
+        self._thrown: tuple[ObjectValue, Event] | None = None
+        self._statics: dict[tuple[str, str], Event] = {}
 
     def _event(
         self,
@@ -164,657 +84,218 @@ class TracingInterpreter:
         bases: tuple[Event, ...] = (),
     ) -> Event:
         control = self._control[-1] if self._control else None
-        return self.factory.make(node.position.line, kind, parents, bases, control)
+        return self._make(node.position.line, kind, parents, bases, control)
 
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise FuelExhausted()
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def run_main(self, args: list[str] | None = None) -> DynamicTrace:
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(200_000)
-        try:
-            self._run_static_initializers()
-            class_name, method = self._find_main()
-            seed = self.factory.make(0, "input")
-            array = TracedArray(
-                [TV(a, self.factory.make(0, "input")) for a in (args or [])],
-                seed,
-            )
-            self._invoke(method, None, [TV(array, seed)])
-            return self._finish(None)
-        except _Throw as thrown:
-            return self._finish(thrown.tv)
-        except (FuelExhausted, TraceBudgetExceeded):
-            trace = self._finish(None)
-            trace.timed_out = True
-            return trace
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    def _finish(self, thrown: TV | None) -> DynamicTrace:
-        error = error_class = None
+    def finish(self, result: ExecutionResult) -> DynamicTrace:
         error_event = None
         field_events: tuple[Event, ...] = ()
-        if thrown is not None:
-            obj = thrown.value
-            error_class = getattr(obj, "class_name", "Object")
-            message = None
-            if isinstance(obj, TracedObject):
-                field = obj.fields.get("message")
-                if field is not None and isinstance(field.value, str):
-                    message = field.value
-                field_events = tuple(tv.event for tv in obj.fields.values())
-            error = f"{error_class}: {message}" if message else error_class
-            error_event = thrown.event
+        if result.error_class is not None and self._thrown is not None:
+            thrown, error_event = self._thrown
+            field_events = tuple(thrown.trace.values())
         return DynamicTrace(
-            output=self.output,
+            output=result.output,
             output_events=self.output_events,
-            error=error,
-            error_class=error_class,
+            error=result.error,
+            error_class=result.error_class,
             error_event=error_event,
             events_created=self.factory.count,
+            timed_out=result.timed_out,
             error_field_events=field_events,
         )
 
-    def _find_main(self) -> tuple[str, ast.MethodDecl]:
-        for decl in self.program.classes:
-            method = self.table.info(decl.name).methods.get("main")
-            if method is not None and method.is_static:
-                return decl.name, method
-        raise RuntimeError("program has no static main method")
-
-    def _run_static_initializers(self) -> None:
-        for decl in self.program.classes:
-            for field_decl in decl.fields:
-                if field_decl.is_static:
-                    event = self.factory.make(field_decl.position.line, "default")
-                    self.statics[(decl.name, field_decl.name)] = TV(
-                        self._default(field_decl.declared_type), event
-                    )
-        for decl in self.program.classes:
-            frame = _Frame(None)
-            for field_decl in decl.fields:
-                if field_decl.is_static and field_decl.init is not None:
-                    tv = self._expr(field_decl.init, frame)
-                    store = self._event(field_decl, "static-store", (tv.event,))
-                    self.statics[(decl.name, field_decl.name)] = TV(tv.value, store)
-
     # ------------------------------------------------------------------
-    # Objects and calls
+    # Program start and frames
     # ------------------------------------------------------------------
 
-    def _default(self, declared: Type):
-        if declared == INT:
-            return 0
-        if declared == BOOLEAN:
-            return False
-        return None
+    def main_args(self, array: ArrayValue) -> None:
+        seed = self.factory.make(0, "input")
+        array.trace = (seed, [self.factory.make(0, "input") for _ in array.elements])
+        self._pending = [seed]
 
-    def _construct(self, node: ast.Node, class_name: str, args: list[TV]) -> TV:
+    def static_default(self, decl: ast.FieldDecl, owner: str) -> None:
+        self._statics[(owner, decl.name)] = self._event(decl, "default")
+
+    def enter_frame(self, params: list[ast.Param]) -> None:
+        """Bind the pending arguments to a new frame's parameters."""
+        self._callers.append(self._frame)
+        self._frame = dict(zip([p.name for p in params], self._pending))
+        self._pending = []
+
+    def exit_frame(self) -> None:
+        self._frame = self._callers.pop()
+
+    # ------------------------------------------------------------------
+    # Expressions: each pushes the event that produced its value
+    # ------------------------------------------------------------------
+
+    def leaf(self, node: ast.Node, kind: str) -> None:
+        self.stack.append(self._event(node, kind))
+
+    def derive(self, node: ast.Node, kind: str, arity: int) -> None:
+        """Replace the top ``arity`` events by one with them as producers."""
+        stack = self.stack
+        parents = tuple(stack[-arity:])
+        del stack[-arity:]
+        stack.append(self._event(node, kind, parents))
+
+    def read_local(self, name: str) -> None:
+        self.stack.append(self._frame[name])
+
+    def load_field(
+        self, node: ast.Node, obj: ObjectValue, name: str, based: bool = True
+    ) -> None:
+        bases = (self.stack.pop(),) if based else ()
+        stored = obj.trace[name]
+        self.stack.append(self._event(node, "load", (stored,), bases))
+
+    def load_static(self, node: ast.Node, owner: str, name: str) -> None:
+        stored = self._statics[(owner, name)]
+        self.stack.append(self._event(node, "load", (stored,)))
+
+    def load_length(self, node: ast.Node, array: ArrayValue) -> None:
+        base = self.stack.pop()
+        self.stack.append(self._event(node, "load", (array.trace[0],), (base,)))
+
+    def load_element(self, node: ast.Node, array: ArrayValue, index: int) -> None:
+        stack = self.stack
+        bases = (stack[-2], stack[-1])
+        del stack[-2:]
+        stored = array.trace[1][index]
+        stack.append(self._event(node, "load", (stored,), bases))
+
+    def output(self, node: ast.Call, arity: int) -> None:
+        stack = self.stack
+        event = self._event(node, "output", (stack[-arity],))
+        del stack[-arity:]
+        self.output_events.append(event)
+        stack.append(event)
+
+    def increment(self, node: ast.PostfixIncDec) -> None:
+        """Push the updated value's event above the old one."""
+        one = self._event(node, "const")
+        self.stack.append(self._event(node, "binop", (self.stack[-1], one)))
+
+    def new_object(self, node: ast.New, obj: ObjectValue) -> None:
         alloc = self._event(node, "new")
-        fields: dict[str, TV] = {}
-        for ancestor in self.table.ancestors(class_name):
-            for name, decl in self.table.info(ancestor).fields.items():
-                if not decl.is_static and name not in fields:
-                    fields[name] = TV(self._default(decl.declared_type), alloc)
-        obj = TracedObject(class_name, fields)
-        self._run_constructor(class_name, obj, args)
-        return TV(obj, alloc)
+        obj.trace = dict.fromkeys(obj.fields, alloc)
+        self.stack.append(alloc)
 
-    def _run_constructor(
-        self, class_name: str, obj: TracedObject, args: list[TV]
-    ) -> None:
-        if class_name == "Object":
-            return
-        info = self.table.info(class_name)
-        ctor = info.constructor
-        superclass = info.superclass or "Object"
-        frame = _Frame(obj)
-        body: list[ast.Stmt] = []
-        explicit_super: ast.SuperCall | None = None
-        if ctor is not None:
-            for param, arg in zip(ctor.params, args):
-                frame.declare(param.name, arg)
-            body = list(ctor.body.statements)
-            if body and isinstance(body[0], ast.ExprStmt):
-                first = body[0].expr
-                if isinstance(first, ast.SuperCall):
-                    explicit_super = first
-                    body = body[1:]
-        if explicit_super is not None:
-            super_args = []
-            for a in explicit_super.args:
-                tv = self._expr(a, frame)
-                super_args.append(
-                    TV(tv.value, self._event(explicit_super, "pass", (tv.event,)))
-                )
-            self._run_constructor(superclass, obj, super_args)
-        else:
-            self._run_constructor(superclass, obj, [])
-        decl = info.decl
-        if decl is not None:
-            init_frame = _Frame(obj)
-            for field_decl in decl.fields:
-                if not field_decl.is_static and field_decl.init is not None:
-                    tv = self._expr(field_decl.init, init_frame)
-                    store = self._event(field_decl, "store", (tv.event,))
-                    obj.fields[field_decl.name] = TV(tv.value, store)
-        for stmt in body:
-            try:
-                self._stmt(stmt, frame)
-            except _Return:
-                break
-
-    def _invoke(
-        self, method: ast.MethodDecl, this: TracedObject | None, args: list[TV]
-    ) -> TV | None:
-        self._frame_depth += 1
-        if self._frame_depth > _MAX_FRAMES:
-            self._frame_depth -= 1
-            self._throw_builtin(method, "StackOverflowError", "recursion too deep")
-        frame = _Frame(this)
-        for param, arg in zip(method.params, args):
-            frame.declare(param.name, arg)
-        try:
-            self._stmt(method.body, frame)
-        except _Return as signal:
-            return signal.tv
-        finally:
-            self._frame_depth -= 1
-        return None
-
-    def _throw_builtin(self, node: ast.Node, exc_class: str, message: str) -> None:
-        event = self._event(node, "throw")
-        msg = TV(message, event)
-        obj = TracedObject(exc_class, {"message": msg})
-        raise _Throw(TV(obj, event))
-
-    def _exception_matches(self, value: TracedObject, exc_type: Type) -> bool:
-        if not isinstance(exc_type, ClassType):
-            return False
-        if exc_type.name == "Object":
-            return True
-        if self.table.has_class(value.class_name):
-            return self.table.is_subclass(value.class_name, exc_type.name)
-        return value.class_name == exc_type.name
+    def new_array(self, node: ast.NewArray, array: ArrayValue) -> None:
+        alloc = self._event(node, "new-array", (self.stack.pop(),))
+        array.trace = (alloc, [alloc] * len(array.elements))
+        self.stack.append(alloc)
 
     # ------------------------------------------------------------------
-    # Statements
+    # Calls
     # ------------------------------------------------------------------
 
-    def _stmt(self, stmt: ast.Stmt, frame: _Frame) -> None:
-        self._tick()
-        getattr(self, "_stmt_" + type(stmt).__name__)(stmt, frame)
+    def pass_args(self, site: ast.Node, count: int) -> None:
+        """Turn the top ``count`` events into the next callee's arguments."""
+        if count:
+            stack = self.stack
+            self._pending.extend(
+                self._event(site, "pass", (arg,)) for arg in stack[-count:]
+            )
+            del stack[-count:]
 
-    def _stmt_Block(self, stmt: ast.Block, frame: _Frame) -> None:
-        frame.push()
-        try:
-            for child in stmt.statements:
-                self._stmt(child, frame)
-        finally:
-            frame.pop()
+    def enter_call(self, site: ast.Call, has_receiver: bool) -> None:
+        bases = (self.stack.pop(),) if has_receiver else ()
+        self._control.append(self._event(site, "call", (), bases))
 
-    def _stmt_VarDecl(self, stmt: ast.VarDecl, frame: _Frame) -> None:
+    def exit_call(self, site: ast.Call) -> None:
+        call = self._control.pop()
+        returned, self._returned = self._returned, None
+        if returned is not None:
+            call = self._event(site, "call-result", (returned,))
+        self.stack.append(call)
+
+    # ------------------------------------------------------------------
+    # Statements and stores: each pops what its expressions pushed
+    # ------------------------------------------------------------------
+
+    def drop(self) -> None:
+        self.stack.pop()
+
+    def declare(self, stmt: ast.VarDecl) -> None:
         if stmt.init is not None:
-            tv = self._expr(stmt.init, frame)
-            copied = self._event(stmt, "copy", (tv.event,))
-            frame.declare(stmt.name, TV(tv.value, copied))
+            event = self._event(stmt, "copy", (self.stack.pop(),))
         else:
-            frame.declare(
-                stmt.name,
-                TV(self._default(stmt.declared_type), self._event(stmt, "default")),
-            )
+            event = self._event(stmt, "default")
+        self._frame[stmt.name] = event
 
-    def _stmt_ExprStmt(self, stmt: ast.ExprStmt, frame: _Frame) -> None:
-        self._expr(stmt.expr, frame)
+    def compound(self, stmt: ast.Assign) -> None:
+        """``x op= v``: the stack holds v's event, then x's old one."""
+        old = self.stack.pop()
+        value = self.stack.pop()
+        self.stack.append(self._event(stmt, "binop", (old, value)))
 
-    def _stmt_Assign(self, stmt: ast.Assign, frame: _Frame) -> None:
-        tv = self._expr(stmt.value, frame)
-        if stmt.op is not None:
-            old = self._expr(stmt.target, frame)
-            raw = self._binop_raw(stmt.op, old.value, tv.value, stmt)
-            tv = TV(raw, self._event(stmt, "binop", (old.event, tv.event)))
-        self._write_lvalue(stmt.target, tv, stmt, frame)
-
-    def _stmt_If(self, stmt: ast.If, frame: _Frame) -> None:
-        cond = self._expr(stmt.condition, frame)
-        branch = self._event(stmt, "branch", (cond.event,))
-        self._control.append(branch)
-        try:
-            if cond.value:
-                self._stmt(stmt.then_branch, frame)
-            elif stmt.else_branch is not None:
-                self._stmt(stmt.else_branch, frame)
-        finally:
-            self._control.pop()
-
-    def _stmt_While(self, stmt: ast.While, frame: _Frame) -> None:
-        while True:
-            cond = self._expr(stmt.condition, frame)
-            if not cond.value:
-                return
-            self._tick()
-            branch = self._event(stmt, "branch", (cond.event,))
-            self._control.append(branch)
-            try:
-                self._stmt(stmt.body, frame)
-            except _Break:
-                return
-            except _Continue:
-                continue
-            finally:
-                self._control.pop()
-
-    def _stmt_For(self, stmt: ast.For, frame: _Frame) -> None:
-        frame.push()
-        try:
-            if stmt.init is not None:
-                self._stmt(stmt.init, frame)
-            while True:
-                if stmt.condition is not None:
-                    cond = self._expr(stmt.condition, frame)
-                    if not cond.value:
-                        return
-                    branch = self._event(stmt, "branch", (cond.event,))
-                else:
-                    branch = self._event(stmt, "branch")
-                self._tick()
-                self._control.append(branch)
-                try:
-                    self._stmt(stmt.body, frame)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-                finally:
-                    self._control.pop()
-                if stmt.update is not None:
-                    self._stmt(stmt.update, frame)
-        finally:
-            frame.pop()
-
-    def _stmt_Return(self, stmt: ast.Return, frame: _Frame) -> None:
-        if stmt.value is None:
-            raise _Return(None)
-        tv = self._expr(stmt.value, frame)
-        raise _Return(TV(tv.value, self._event(stmt, "return", (tv.event,))))
-
-    def _stmt_Break(self, stmt, frame) -> None:
-        raise _Break()
-
-    def _stmt_Continue(self, stmt, frame) -> None:
-        raise _Continue()
-
-    def _stmt_Throw(self, stmt: ast.Throw, frame: _Frame) -> None:
-        tv = self._expr(stmt.value, frame)
-        if tv.value is None:
-            self._throw_builtin(stmt, "NullPointerException", "throw null")
-        raise _Throw(TV(tv.value, self._event(stmt, "throw", (tv.event,))))
-
-    def _stmt_TryCatch(self, stmt: ast.TryCatch, frame: _Frame) -> None:
-        try:
-            self._stmt(stmt.try_block, frame)
-        except _Throw as thrown:
-            obj = thrown.tv.value
-            if not isinstance(obj, TracedObject) or not self._exception_matches(
-                obj, stmt.exc_type
-            ):
-                raise
-            frame.push()
-            try:
-                caught = self._event(stmt, "catch", (thrown.tv.event,))
-                frame.declare(stmt.exc_name, TV(obj, caught))
-                for child in stmt.catch_block.statements:
-                    self._stmt(child, frame)
-            finally:
-                frame.pop()
-
-    # ------------------------------------------------------------------
-    # L-values
-    # ------------------------------------------------------------------
-
-    def _write_lvalue(
-        self, target: ast.Expr, tv: TV, site: ast.Node, frame: _Frame
+    def write_var(
+        self, site: ast.Node, target: ast.VarRef, this: ObjectValue | None
     ) -> None:
-        if isinstance(target, ast.VarRef):
-            kind, owner = target.resolution or ("", "")
-            stored = TV(tv.value, self._event(site, "copy", (tv.event,)))
-            if kind == "local":
-                frame.set(target.name, stored)
-                return
-            if kind == "field":
-                assert frame.this is not None
-                frame.this.fields[target.name] = TV(
-                    tv.value, self._event(site, "store", (tv.event,))
-                )
-                return
-            if kind == "static_field":
-                self.statics[(owner, target.name)] = TV(
-                    tv.value, self._event(site, "static-store", (tv.event,))
-                )
-                return
-            raise RuntimeError("bad assignment target")
-        if isinstance(target, ast.FieldAccess):
-            kind, owner = target.resolution or ("", "")
-            if kind == "static_field":
-                self.statics[(owner, target.name)] = TV(
-                    tv.value, self._event(site, "static-store", (tv.event,))
-                )
-                return
-            base = self._expr(target.target, frame)
-            if base.value is None:
-                self._throw_builtin(site, "NullPointerException", "store to null")
-            store = self._event(site, "store", (tv.event,), (base.event,))
-            base.value.fields[target.name] = TV(tv.value, store)
-            return
-        if isinstance(target, ast.ArrayAccess):
-            base = self._expr(target.target, frame)
-            index = self._expr(target.index, frame)
-            if base.value is None:
-                self._throw_builtin(site, "NullPointerException", "null array")
-            array = base.value
-            assert isinstance(array, TracedArray)
-            if not 0 <= index.value < len(array.elements):
-                self._throw_builtin(
-                    site, "ArrayIndexOutOfBoundsException", f"index {index.value}"
-                )
-            store = self._event(
-                site, "store", (tv.event,), (base.event, index.event)
-            )
-            array.elements[index.value] = TV(tv.value, store)
-            return
-        raise RuntimeError("bad assignment target")
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-
-    def _expr(self, expr: ast.Expr, frame: _Frame) -> TV:
-        return getattr(self, "_expr_" + type(expr).__name__)(expr, frame)
-
-    def _expr_IntLit(self, expr: ast.IntLit, frame) -> TV:
-        return TV(expr.value, self._event(expr, "const"))
-
-    def _expr_BoolLit(self, expr: ast.BoolLit, frame) -> TV:
-        return TV(expr.value, self._event(expr, "const"))
-
-    def _expr_StringLit(self, expr: ast.StringLit, frame) -> TV:
-        return TV(expr.value, self._event(expr, "const"))
-
-    def _expr_NullLit(self, expr, frame) -> TV:
-        return TV(None, self._event(expr, "const"))
-
-    def _expr_This(self, expr, frame: _Frame) -> TV:
-        return TV(frame.this, self._event(expr, "this"))
-
-    def _expr_VarRef(self, expr: ast.VarRef, frame: _Frame) -> TV:
-        kind, owner = expr.resolution or ("", "")
+        kind, owner = target.resolution
+        copy = self._event(site, "copy", (self.stack[-1],))
         if kind == "local":
-            return frame.get(expr.name)
-        if kind == "field":
-            assert frame.this is not None
-            stored = frame.this.fields.get(expr.name)
-            assert stored is not None
-            load = self._event(expr, "load", (stored.event,))
-            return TV(stored.value, load)
-        if kind == "static_field":
-            stored = self.statics[(owner, expr.name)]
-            return TV(stored.value, self._event(expr, "load", (stored.event,)))
-        raise RuntimeError(f"class name {expr.name} used as value")
-
-    def _expr_FieldAccess(self, expr: ast.FieldAccess, frame: _Frame) -> TV:
-        kind, owner = expr.resolution or ("", "")
-        if kind == "static_field":
-            stored = self.statics[(owner, expr.name)]
-            return TV(stored.value, self._event(expr, "load", (stored.event,)))
-        base = self._expr(expr.target, frame)
-        if kind == "array_length":
-            if base.value is None:
-                self._throw_builtin(expr, "NullPointerException", "null array")
-            array = base.value
-            assert isinstance(array, TracedArray)
-            load = self._event(
-                expr, "load", (array.length_event,), (base.event,)
-            )
-            return TV(len(array.elements), load)
-        if base.value is None:
-            self._throw_builtin(
-                expr, "NullPointerException", f"read {expr.name} of null"
-            )
-        stored = base.value.fields.get(expr.name)
-        assert stored is not None, expr.name
-        load = self._event(expr, "load", (stored.event,), (base.event,))
-        return TV(stored.value, load)
-
-    def _expr_ArrayAccess(self, expr: ast.ArrayAccess, frame: _Frame) -> TV:
-        base = self._expr(expr.target, frame)
-        index = self._expr(expr.index, frame)
-        if base.value is None:
-            self._throw_builtin(expr, "NullPointerException", "null array")
-        array = base.value
-        assert isinstance(array, TracedArray)
-        if not 0 <= index.value < len(array.elements):
-            self._throw_builtin(
-                expr, "ArrayIndexOutOfBoundsException", f"index {index.value}"
-            )
-        stored = array.elements[index.value]
-        load = self._event(
-            expr, "load", (stored.event,), (base.event, index.event)
-        )
-        return TV(stored.value, load)
-
-    def _expr_Call(self, expr: ast.Call, frame: _Frame) -> TV:
-        self._tick()
-        kind, owner = expr.resolution or ("", "")
-        if kind == "builtin":
-            args = [self._expr(a, frame) for a in expr.args]
-            if expr.name == "print":
-                event = self._event(expr, "output", (args[0].event,))
-                self.output.append(self._stringify(args[0].value))
-                self.output_events.append(event)
-                return TV(None, event)
-            raise RuntimeError(f"unknown builtin {expr.name}")
-        if kind == "native":
-            assert expr.receiver is not None
-            receiver = self._expr(expr.receiver, frame)
-            args = [self._expr(a, frame) for a in expr.args]
-            if receiver.value is None:
-                self._throw_builtin(
-                    expr, "NullPointerException", "call on null String"
-                )
-            try:
-                result = call_native(
-                    expr.name, receiver.value, [a.value for a in args]
-                )
-            except NativeFault as fault:
-                self._throw_builtin(expr, fault.exc_class, fault.message)
-            event = self._event(
-                expr, "native", (receiver.event, *(a.event for a in args))
-            )
-            return TV(result, event)
-        if kind == "static":
-            args = self._pass_args(expr, [self._expr(a, frame) for a in expr.args])
-            found = self.table.lookup_method(owner, expr.name)
-            assert found is not None
-            return self._call_with_context(expr, found[1], None, args)
-        # virtual
-        if expr.receiver is not None:
-            receiver = self._expr(expr.receiver, frame)
+            self.stack.pop()
+            self._frame[target.name] = copy
+        elif kind == "field":
+            assert this is not None
+            self.store_field(site, this, target.name, False)
         else:
-            receiver = TV(frame.this, self._event(expr, "this"))
-        args = self._pass_args(expr, [self._expr(a, frame) for a in expr.args])
-        if receiver.value is None:
-            self._throw_builtin(
-                expr, "NullPointerException", f"call {expr.name}() on null"
-            )
-        obj = receiver.value
-        assert isinstance(obj, TracedObject)
-        target_owner, method = self.table.resolve_virtual(obj.class_name, expr.name)
-        return self._call_with_context(expr, method, obj, args, receiver.event)
+            self.store_static(site, owner, target.name)
 
-    def _pass_args(self, site: ast.Node, args: list[TV]) -> list[TV]:
-        return [
-            TV(a.value, self._event(site, "pass", (a.event,))) for a in args
-        ]
+    def store_field(
+        self, site: ast.Node, obj: ObjectValue, name: str, based: bool = True
+    ) -> None:
+        bases = (self.stack.pop(),) if based else ()
+        value = self.stack.pop()
+        obj.trace[name] = self._event(site, "store", (value,), bases)
 
-    def _call_with_context(
-        self,
-        site: ast.Expr,
-        method: ast.MethodDecl,
-        this: TracedObject | None,
-        args: list[TV],
-        receiver_event: Event | None = None,
-    ) -> TV:
-        bases = (receiver_event,) if receiver_event is not None else ()
-        call_event = self._event(site, "call", (), bases)
-        self._control.append(call_event)
-        try:
-            result = self._invoke(method, this, args)
-        finally:
-            self._control.pop()
-        if result is None:
-            return TV(None, call_event)
-        return TV(result.value, self._event(site, "call-result", (result.event,)))
+    def store_static(self, site: ast.Node, owner: str, name: str) -> None:
+        value = self.stack.pop()
+        self._statics[(owner, name)] = self._event(site, "static-store", (value,))
 
-    def _expr_SuperCall(self, expr, frame):  # consumed by _run_constructor
-        raise RuntimeError("super(...) outside constructor prologue")
+    def store_element(self, site: ast.Node, array: ArrayValue, index: int) -> None:
+        stack = self.stack
+        value, bases = stack[-3], (stack[-2], stack[-1])
+        del stack[-3:]
+        array.trace[1][index] = self._event(site, "store", (value,), bases)
 
-    def _expr_New(self, expr: ast.New, frame: _Frame) -> TV:
-        self._tick()
-        args = self._pass_args(expr, [self._expr(a, frame) for a in expr.args])
-        return self._construct(expr, expr.class_name, args)
+    def branch(self, stmt: ast.Stmt, arity: int) -> None:
+        """Enter a branch decision's control context."""
+        parents = (self.stack.pop(),) if arity else ()
+        self._control.append(self._event(stmt, "branch", parents))
 
-    def _expr_NewArray(self, expr: ast.NewArray, frame: _Frame) -> TV:
-        length = self._expr(expr.length, frame)
-        if length.value < 0:
-            self._throw_builtin(
-                expr, "NegativeArraySizeException", str(length.value)
-            )
-        alloc = self._event(expr, "new-array", (length.event,))
-        default = self._default(expr.element_type)
-        elements = [TV(default, alloc) for _ in range(length.value)]
-        return TV(TracedArray(elements, alloc), alloc)
+    def end_branch(self) -> None:
+        self._control.pop()
 
-    def _expr_Binary(self, expr: ast.Binary, frame: _Frame) -> TV:
-        op = expr.op
-        if op in ("&&", "||"):
-            left = self._expr(expr.left, frame)
-            if op == "&&" and not left.value:
-                return TV(False, self._event(expr, "binop", (left.event,)))
-            if op == "||" and left.value:
-                return TV(True, self._event(expr, "binop", (left.event,)))
-            right = self._expr(expr.right, frame)
-            return TV(
-                bool(right.value),
-                self._event(expr, "binop", (left.event, right.event)),
-            )
-        left = self._expr(expr.left, frame)
-        right = self._expr(expr.right, frame)
-        raw = self._binop_raw(op, left.value, right.value, expr)
-        return TV(raw, self._event(expr, "binop", (left.event, right.event)))
-
-    def _stringify(self, value) -> str:
-        if isinstance(value, TracedObject):
-            return f"{value.class_name}@traced"
-        if isinstance(value, TracedArray):
-            return f"array[{len(value.elements)}]@traced"
-        return stringify(value)
-
-    def _binop_raw(self, op: str, left, right, node: ast.Node):
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return self._stringify(left) + self._stringify(right)
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                self._throw_builtin(node, "ArithmeticException", "/ by zero")
-            q = abs(left) // abs(right)
-            return q if (left < 0) == (right < 0) else -q
-        if op == "%":
-            if right == 0:
-                self._throw_builtin(node, "ArithmeticException", "% by zero")
-            q = abs(left) // abs(right)
-            q = q if (left < 0) == (right < 0) else -q
-            return left - q * right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return values_equal(left, right)
-        if op == "!=":
-            return not values_equal(left, right)
-        raise RuntimeError(f"unknown operator {op}")
-
-    def _expr_Unary(self, expr: ast.Unary, frame: _Frame) -> TV:
-        operand = self._expr(expr.operand, frame)
-        raw = (not operand.value) if expr.op == "!" else -operand.value
-        return TV(raw, self._event(expr, "unop", (operand.event,)))
-
-    def _expr_Cast(self, expr: ast.Cast, frame: _Frame) -> TV:
-        tv = self._expr(expr.expr, frame)
-        value = tv.value
-        target = expr.target_type
-        ok = True
-        if value is None:
-            ok = True
-        elif isinstance(target, ClassType):
-            if target.name == "Object":
-                ok = True
-            elif target.name == "String":
-                ok = isinstance(value, str)
-            elif isinstance(value, TracedObject) and self.table.has_class(
-                value.class_name
-            ):
-                ok = self.table.is_subclass(value.class_name, target.name)
-            else:
-                ok = False
-        elif isinstance(target, ArrayType):
-            ok = isinstance(value, TracedArray)
-        if not ok:
-            self._throw_builtin(expr, "ClassCastException", f"to {target}")
-        return TV(value, self._event(expr, "cast", (tv.event,)))
-
-    def _expr_InstanceOf(self, expr: ast.InstanceOf, frame: _Frame) -> TV:
-        tv = self._expr(expr.expr, frame)
-        value = tv.value
-        if value is None:
-            result = False
-        elif expr.class_name == "Object":
-            result = True
-        elif expr.class_name == "String":
-            result = isinstance(value, str)
-        elif isinstance(value, TracedObject) and self.table.has_class(
-            value.class_name
-        ):
-            result = self.table.is_subclass(value.class_name, expr.class_name)
+    def ret(self, stmt: ast.Return) -> None:
+        if stmt.value is None:
+            self._returned = None
         else:
-            result = False
-        return TV(result, self._event(expr, "instanceof", (tv.event,)))
+            self._returned = self._event(stmt, "return", (self.stack.pop(),))
 
-    def _expr_PostfixIncDec(self, expr: ast.PostfixIncDec, frame: _Frame) -> TV:
-        old = self._expr(expr.target, frame)
-        delta = 1 if expr.op == "+" else -1
-        one = self._event(expr, "const")
-        updated = TV(
-            old.value + delta, self._event(expr, "binop", (old.event, one))
-        )
-        self._write_lvalue(expr.target, updated, expr, frame)
-        return old
+    def throw(self, stmt: ast.Throw, obj: ObjectValue) -> None:
+        self._thrown = (obj, self._event(stmt, "throw", (self.stack.pop(),)))
+
+    def throw_builtin(self, node: ast.Node, obj: ObjectValue) -> None:
+        event = self._event(node, "throw")
+        obj.trace = {"message": event}
+        self._thrown = (obj, event)
+
+    def catch(self, stmt: ast.TryCatch, mark: int) -> Event | None:
+        """Bind the caught exception; returns the binding it shadows."""
+        assert self._thrown is not None
+        del self.stack[mark:]
+        self._pending = []  # passed to a call that threw before its frame
+        outer = self._frame.get(stmt.exc_name)
+        self._frame[stmt.exc_name] = self._event(stmt, "catch", (self._thrown[1],))
+        return outer
+
+    def end_catch(self, stmt: ast.TryCatch, outer: Event | None) -> None:
+        if outer is None:
+            self._frame.pop(stmt.exc_name, None)
+        else:
+            self._frame[stmt.exc_name] = outer
 
 
 def trace_program(
@@ -824,6 +305,7 @@ def trace_program(
     max_steps: int = 2_000_000,
     max_events: int = 2_000_000,
 ) -> DynamicTrace:
-    """Run ``main`` under the tracing interpreter."""
-    interpreter = TracingInterpreter(program, table, max_steps, max_events)
-    return interpreter.run_main(args)
+    """Run ``main`` under the reference interpreter, recording events."""
+    sink = TraceSink(max_events)
+    interpreter = Interpreter(program, table, max_steps=max_steps, sink=sink)
+    return sink.finish(interpreter.run_main(args))

@@ -18,9 +18,13 @@ _object_ids = itertools.count(1)
 
 
 class ObjectValue:
-    """An MJ heap object: its runtime class and field map."""
+    """An MJ heap object: its runtime class and field map.
 
-    __slots__ = ("class_name", "fields", "object_id")
+    ``trace`` stays unset in a plain run.  A trace sink stores the
+    object's field events there, so they are freed with the object.
+    """
+
+    __slots__ = ("class_name", "fields", "object_id", "trace")
 
     def __init__(self, class_name: str, fields: dict[str, MJValue]) -> None:
         self.class_name = class_name
@@ -32,9 +36,13 @@ class ObjectValue:
 
 
 class ArrayValue:
-    """An MJ array: fixed length, element list."""
+    """An MJ array: fixed length, element list.
 
-    __slots__ = ("elements", "object_id")
+    ``trace`` stays unset in a plain run; a trace sink stores the
+    array's length event and element events there.
+    """
+
+    __slots__ = ("elements", "object_id", "trace")
 
     def __init__(self, elements: list[MJValue]) -> None:
         self.elements = elements

@@ -1,7 +1,7 @@
 """Dynamic thin slicing tests (the §7 extension).
 
-The tracing interpreter must (a) agree with the reference interpreter on
-behaviour, and (b) produce dynamic slices with the same producer/
+A traced run must (a) behave exactly like a plain run of the reference
+interpreter, and (b) produce dynamic slices with the same producer/
 explainer split the static slicers exhibit — but exact, since dynamic
 heap dependences need no points-to approximation.
 """
@@ -17,6 +17,7 @@ from repro.dynamic import (
     trace_program,
 )
 from repro.frontend import compile_source
+from repro.fuzz.grammar import generate_program
 from repro.interp.interpreter import run_program
 from repro.lang.source import marker_line
 from repro.suite.bugs import BUGS
@@ -50,6 +51,20 @@ class TestTracerMatchesInterpreter:
         traced = trace_program(compiled.ast, compiled.table, args)
         assert traced.output == reference.output
         assert traced.error_class == reference.error_class
+        assert traced.error == reference.error
+        assert traced.timed_out == reference.timed_out
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_behaviour_on_generated_programs(self, seed):
+        # Generated programs index out of bounds and recurse without
+        # bound; a traced run must report the same exception text.
+        compiled = compile_source(generate_program(seed, 1.0), f"gen{seed}.mj")
+        reference = run_program(compiled.ast, compiled.table, [], max_steps=200_000)
+        traced = trace_program(compiled.ast, compiled.table, [], max_steps=200_000)
+        assert traced.output == reference.output
+        assert traced.error_class == reference.error_class
+        assert traced.error == reference.error
+        assert traced.timed_out == reference.timed_out
 
     def test_exception_behaviour_matches(self):
         source = load_source("figure4")

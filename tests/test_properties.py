@@ -8,13 +8,17 @@ hold:
 * the seed belongs to its own slice;
 * thin ⊆ traditional (node- and line-wise);
 * hierarchical expansion reaches the traditional slice fixpoint;
-* the interpreter and the tracing interpreter agree;
-* dynamic thin slices stay within the static thin slice, and so
-  within the static traditional slice.
+* plain and traced runs of the interpreter agree;
+* dynamic thin slices stay within the static thin slice (rich and
+  served from the flat artifact), and so within the static traditional
+  slice.
 """
 
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.pointsto import solve_points_to
@@ -22,6 +26,8 @@ from repro.dynamic import trace_and_slice, trace_program
 from repro.frontend import compile_source
 from repro.interp.interpreter import run_program
 from repro.sdg.sdg import build_sdg
+from repro.server.cache import AnalysisCache
+from repro.server.daemon import SliceServer
 from repro.slicing.expansion import expand_to_fixpoint, traditional_closure
 from repro.slicing.thin import ThinSlicer
 from repro.slicing.traditional import TraditionalSlicer
@@ -157,17 +163,44 @@ def test_tracer_agrees_with_interpreter_on_generated(source):
     traced = trace_program(compiled.ast, compiled.table, [], max_steps=200_000)
     assert traced.output == reference.output
     assert traced.error_class == reference.error_class
+    assert traced.error == reference.error
+    assert traced.timed_out == reference.timed_out
+
+
+@pytest.fixture(scope="module")
+def server():
+    instance = SliceServer(AnalysisCache(), executor="thread")
+    yield instance
+    instance.close()
+
+
+def _served_thin_lines(server: SliceServer, source: str, line: int) -> set[int]:
+    params = {
+        "source": source,
+        "filename": "gen.mj",
+        "include_stdlib": False,
+        "line": line,
+    }
+    request = {"id": 1, "method": "slice", "params": params}
+    response = json.loads(server.handle_line(json.dumps(request)))
+    assert response["ok"], response
+    return set(response["result"]["lines"])
 
 
 @settings(max_examples=20, deadline=None)
-@given(mj_program())
-def test_dynamic_thin_within_static_thin(source):
+@given(source=mj_program())
+def test_dynamic_thin_within_static_thin(server, source):
     compiled, pts, sdg = _analyze(source)
     run = trace_and_slice(source, [], "gen.mj", include_stdlib=False,
                           seed_output_index=0)
     seed_line = _print_lines(source)[0]
     static_thin = ThinSlicer(compiled, sdg).slice_from_line(seed_line)
     assert run.thin.lines <= static_thin.lines | {seed_line}
+    # The same containment over the path that serves traffic: the
+    # daemon's slice from the flat artifact.
+    assert run.thin.lines <= _served_thin_lines(server, source, seed_line) | {
+        seed_line
+    }
     assert run.thin.lines <= run.traditional.lines
 
 
