@@ -36,6 +36,8 @@ from pathlib import Path
 from typing import Any
 
 from repro import analyze
+from repro.frontend import compile_source
+from repro.interp.interpreter import run_program
 from repro.suite.loader import load_source, program_names
 
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-server"
@@ -237,8 +239,8 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     source, name = _read_program(args.file)
-    analyzed = analyze(source, name)
-    result = analyzed.run(args.args)
+    compiled = compile_source(source, name, include_stdlib=True)
+    result = run_program(compiled.ast, compiled.table, args.args)
     for line in result.output:
         print(line)
     if result.error is not None:

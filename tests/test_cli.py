@@ -29,6 +29,25 @@ class TestRun:
         assert code == 1
         assert "ClosedException" in err
 
+    def test_run_does_not_analyze(self, capsys, monkeypatch):
+        # Running a program needs only the frontend and the interpreter:
+        # no points-to solve, no SDG.
+        def refuse(*args, **kwargs):
+            raise AssertionError("repro run must not analyze the program")
+
+        for target in (
+            "repro.solve_points_to",
+            "repro.build_sdg",
+            "repro.analysis.pointsto.solve_points_to",
+            "repro.sdg.sdg.build_sdg",
+        ):
+            monkeypatch.setattr(target, refuse)
+        code, out, err = run_cli(capsys, "run", "figure5")
+        assert (code, out.splitlines()) == (0, ["5", "20", "7"])
+        code, out, err = run_cli(capsys, "run", "figure4")
+        assert code == 1
+        assert "ClosedException" in err
+
     def test_run_file_from_disk(self, capsys, tmp_path):
         path = tmp_path / "hello.mj"
         path.write_text(
