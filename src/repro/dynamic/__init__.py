@@ -1,8 +1,8 @@
 """Dynamic thin slicing: exact dependences from traced executions (§7).
 
 A traced execution is a run of the reference interpreter
-(:mod:`repro.interp`) with a :class:`TraceSink` attached; see
-:mod:`repro.dynamic.tracer`.
+(:mod:`repro.interp`) with a :class:`~repro.dynamic.tracer.TraceSink`
+attached.
 """
 
 from repro.dynamic.events import (
@@ -21,7 +21,7 @@ from repro.dynamic.slicer import (
     failure_seeds,
     trace_and_slice,
 )
-from repro.dynamic.tracer import DynamicTrace, TraceSink, trace_program
+from repro.dynamic.tracer import DynamicTrace, trace_program
 
 __all__ = [
     "DynamicSlice",
@@ -29,7 +29,6 @@ __all__ = [
     "Event",
     "EventFactory",
     "TraceBudgetExceeded",
-    "TraceSink",
     "TracedRun",
     "dynamic_thin_slice",
     "dynamic_traditional_slice",

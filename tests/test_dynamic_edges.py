@@ -128,6 +128,41 @@ class TestCatchReentry:
         assert marker_line(source, "tag", "add") in run.thin.lines
         assert marker_line(source, "tag", "recover") in run.thin.lines
 
+    def test_catch_parameter_shadowing_a_local(self):
+        # A catch parameter may reuse an outer local's name; after the
+        # handler the name is the outer local again.
+        source = """
+        class E { E() {} }
+        class Main { static void main(String[] args) {
+          int e = 7;                   //@tag:outer
+          try { throw new E(); } catch (E e) { print(0); }
+          print(e);                    //@tag:out
+        } }
+        """
+        run = slice_of(source, output_index=1, stdlib=False)
+        assert run.trace.output == ["0", "7"]
+        assert marker_line(source, "tag", "outer") in run.thin.lines
+
+    def test_arguments_of_a_failed_call_are_not_rebound(self):
+        # The call on null throws after its arguments were evaluated; the
+        # next call's parameter must come from its own argument.
+        source = """
+        class B { int id(int v) { return v; } }
+        class Main {
+          static int twice(int v) { return v + v; }
+          static void main(String[] args) {
+            B b = null;
+            try { b.id(40); } catch (NullPointerException x) { }  //@tag:npe
+            int k = 3;                 //@tag:k
+            print(twice(k));
+          }
+        }
+        """
+        run = slice_of(source)
+        assert run.trace.output == ["6"]
+        assert marker_line(source, "tag", "k") in run.thin.lines
+        assert marker_line(source, "tag", "npe") not in run.thin.lines
+
 
 class TestSeedSelection:
     def test_slice_per_output_event_differs(self):
