@@ -108,15 +108,20 @@ class TraceSink:
     # ------------------------------------------------------------------
 
     def main_args(self, array: ArrayValue) -> None:
-        seed = self.factory.make(0, "input")
-        array.trace = (seed, [self.factory.make(0, "input") for _ in array.elements])
+        seed = self._make(0, "input")
+        array.trace = (seed, [self._make(0, "input") for _ in array.elements])
         self._pending = [seed]
 
     def static_default(self, decl: ast.FieldDecl, owner: str) -> None:
         self._statics[(owner, decl.name)] = self._event(decl, "default")
 
     def enter_frame(self, params: list[ast.Param]) -> None:
-        """Bind the pending arguments to a new frame's parameters."""
+        """Bind the pending arguments to a new frame's parameters.
+
+        A frame's bindings are one flat map, not a map per block: the
+        type checker rejects a local that shadows a live local, and
+        :meth:`end_catch` restores what a catch parameter shadowed.
+        """
         self._callers.append(self._frame)
         self._frame = dict(zip([p.name for p in params], self._pending))
         self._pending = []

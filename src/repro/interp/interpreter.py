@@ -282,8 +282,7 @@ class Interpreter:
             sink.exit_call(site)
 
     def _throw(self, node: ast.Node, exc_class: str, message: str) -> None:
-        """Raise a builtin runtime exception, detected at ``node``, as an
-        MJ object."""
+        """Raise a builtin runtime exception as an MJ object."""
         obj = ObjectValue(exc_class, {"message": message})
         if self.sink is not None:
             self.sink.throw_builtin(node, obj)
