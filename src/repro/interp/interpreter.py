@@ -209,10 +209,9 @@ class Interpreter:
         try:
             super_args = []
             if explicit_super is not None:
-                for arg in explicit_super.args:
-                    super_args.append(self._expr(arg, frame))
-                    if sink is not None:
-                        sink.pass_args(explicit_super, 1)
+                super_args = [self._expr(a, frame) for a in explicit_super.args]
+                if sink is not None:
+                    sink.pass_args(explicit_super, len(super_args))
             self._run_constructor(superclass, obj, super_args)
             decl = info.decl
             if decl is not None:

@@ -164,6 +164,61 @@ class TestCatchReentry:
         assert marker_line(source, "tag", "npe") not in run.thin.lines
 
 
+class TestConstructorProvenance:
+    # Each super(...) argument must bind to its own superclass parameter,
+    # also when a later argument makes a call or allocates first.
+    def _check(self, source: str) -> None:
+        from repro.interp.interpreter import run_program
+
+        compiled = compile_source(source, include_stdlib=False)
+        plain = run_program(compiled.ast, compiled.table, [])
+        first = slice_of(source, output_index=0, stdlib=False)
+        assert first.trace.output == plain.output
+        assert first.trace.error == plain.error
+        second = slice_of(source, output_index=1, stdlib=False)
+        k, j = marker_line(source, "tag", "k"), marker_line(source, "tag", "j")
+        assert k in first.thin.lines and j not in first.thin.lines
+        assert j in second.thin.lines and k not in second.thin.lines
+
+    def test_super_argument_after_a_call(self):
+        source = """
+        class A { int x; int y; A(int x, int y) { this.x = x; this.y = y; } }
+        class B extends A {
+          B(int k, int j) { super(k, Main.f(j)); }
+        }
+        class Main {
+          static int f(int v) { return v + 1; }
+          static void main(String[] args) {
+            int k = 3;                 //@tag:k
+            int j = 4;                 //@tag:j
+            B b = new B(k, j);
+            print(b.x);
+            print(b.y);
+          }
+        }
+        """
+        self._check(source)
+
+    def test_super_argument_after_an_allocation(self):
+        source = """
+        class D { int v; D(int v) { this.v = v; } }
+        class A { int x; D d; A(int x, D d) { this.x = x; this.d = d; } }
+        class B extends A {
+          B(int k, int j) { super(k, new D(j)); }
+        }
+        class Main {
+          static void main(String[] args) {
+            int k = 3;                 //@tag:k
+            int j = 4;                 //@tag:j
+            B b = new B(k, j);
+            print(b.x);
+            print(b.d.v);
+          }
+        }
+        """
+        self._check(source)
+
+
 class TestSeedSelection:
     def test_slice_per_output_event_differs(self):
         source = """
