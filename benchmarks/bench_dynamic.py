@@ -8,14 +8,16 @@ failure (uncaught exception or first wrong output line), and reports
 whether the dynamic thin slice contains the injected statement and how
 its size compares with the dynamic traditional slice.
 
-It also records what interpretation costs: best-of-5 wall time of a
-plain ``run_program`` and of a traced ``trace_program`` on ten suite
-programs (``results/BENCH_dynamic.json``).
+It also records what interpretation costs: the wall time of a plain
+``run_program`` and of a traced ``trace_program`` on ten suite programs,
+from five caller stack depths (``results/BENCH_dynamic.json``; a ``perf``
+test, deselect with ``-m "not perf"``).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 import pytest
@@ -132,6 +134,10 @@ TIMED_RUNS = [
 ]
 
 
+# Extra caller frames each timing starts from; 0 is the caller's own depth.
+PADDINGS = (0, 25, 50, 75, 100)
+
+
 def _timed_at_depth(padding: int, run) -> float:
     """Seconds ``run`` takes when called ``padding`` frames deeper."""
     if padding:
@@ -141,43 +147,68 @@ def _timed_at_depth(padding: int, run) -> float:
     return time.perf_counter() - start
 
 
-def _best_ms(run, rounds: int = 5) -> float:
-    """Best of ``rounds``, each round called from a different stack depth.
+def _ms_by_depth(run, repeats: int = 3) -> list[float]:
+    """Best-of-``repeats`` ms at each of :data:`PADDINGS`.
 
     CPython 3.11 keeps frames in 16 kB chunks and frees a chunk when its
     first frame returns, so a hot loop whose calls straddle a chunk
     boundary allocates and frees a chunk on every call; raytrace runs
-    2-4x slower at some caller depths.  Spreading the rounds over one
-    chunk's worth of depths keeps the minimum from hinging on where the
-    caller (here pytest) happens to sit.
+    2-4x slower in a band of caller depths, and where the band falls
+    moves with any change to the interpreter's frames.  The paddings
+    span about one chunk, so the record shows the caller's own depth,
+    the best depth and the median over depths side by side.
     """
-    return min(_timed_at_depth(25 * i, run) for i in range(rounds)) * 1000
+    best = [float("inf")] * len(PADDINGS)
+    for _ in range(repeats):
+        for i, padding in enumerate(PADDINGS):
+            best[i] = min(best[i], _timed_at_depth(padding, run) * 1000)
+    return best
 
 
+def _summary(by_depth: list[float]) -> dict[str, object]:
+    return {
+        "caller_depth": round(by_depth[0], 3),
+        "best": round(min(by_depth), 3),
+        "median": round(statistics.median(by_depth), 3),
+        "by_padding": [round(ms, 3) for ms in by_depth],
+    }
+
+
+@pytest.mark.perf
 def test_interpreter_cost(results_dir):
     programs = {}
     for name, args in TIMED_RUNS:
         compiled = compile_source(load_source(name), name, include_stdlib=True)
-        run_ms = _best_ms(lambda: run_program(compiled.ast, compiled.table, args))
-        trace_ms = _best_ms(
-            lambda: trace_program(compiled.ast, compiled.table, args)
+        run = _summary(
+            _ms_by_depth(lambda: run_program(compiled.ast, compiled.table, args))
+        )
+        trace = _summary(
+            _ms_by_depth(lambda: trace_program(compiled.ast, compiled.table, args))
         )
         programs[name] = {
-            "run_ms": round(run_ms, 3),
-            "trace_ms": round(trace_ms, 3),
-            "trace_over_run": round(trace_ms / run_ms, 2),
+            "run_ms": run,
+            "trace_ms": trace,
+            "trace_over_run": round(trace["median"] / run["median"], 2),
         }
+    totals = {
+        f"{mode}_ms_total": {
+            key: round(sum(p[f"{mode}_ms"][key] for p in programs.values()), 3)
+            for key in ("caller_depth", "best", "median")
+        }
+        for mode in ("run", "trace")
+    }
     payload = {
         "benchmark": "dynamic_interpreter_cost",
-        "rounds": "best of 5, from 5 stack depths",
-        "run_ms_total": round(sum(p["run_ms"] for p in programs.values()), 3),
-        "trace_ms_total": round(
-            sum(p["trace_ms"] for p in programs.values()), 3
-        ),
+        "rounds": "best of 3 at each caller padding",
+        "paddings": list(PADDINGS),
+        **totals,
         "programs": programs,
         **environment(),
     }
     (results_dir / "BENCH_dynamic.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    assert all(p["run_ms"] > 0 and p["trace_ms"] > 0 for p in programs.values())
+    assert all(
+        p["run_ms"]["best"] > 0 and p["trace_ms"]["best"] > 0
+        for p in programs.values()
+    )
