@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 
-from _util import emit, format_table
+import pytest
+
+from _util import emit, environment, format_table
 from repro import AnalyzeOptions, analyze
 from repro.artifact.encode import content_key, encode_artifact
 from repro.incremental import IncrementalSession, split_units
@@ -186,3 +189,101 @@ def test_incremental_trajectory(results_dir):
                 f"{program}: delta edit {point['warm_edit_delta_ms']}ms "
                 f"regressed past cold {point['cold_ms']}ms"
             )
+
+
+#: Served edit lineages: ``fuzz.mutate.edit_session`` streams over the
+#: eight paper-suite programs, two seeds each, six edits per lineage.
+LINEAGE_SEEDS = (0, 1)
+LINEAGE_EDITS = 6
+
+
+def _update_results(results_dir, section: dict) -> None:
+    """Merge ``section`` into ``BENCH_incremental.json`` (each test in
+    this module owns its own keys)."""
+    path = results_dir / "BENCH_incremental.json"
+    try:
+        current = json.loads(path.read_text())
+    except (OSError, ValueError):
+        current = {}
+    current.update(section)
+    path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.perf
+def test_served_edit_lineages(results_dir):
+    """Edit lineages served end to end by an in-process slice server.
+
+    Each lineage submits its base program (a cold analysis, not timed)
+    and then each edit in turn through ``stats`` requests; the total
+    wall time of the edit requests is the figure of merit, with the
+    count of each ``origin`` and of error responses.  Every edit served
+    as ``incremental`` is checked byte-identical to a cold analysis of
+    the same text after the timings are taken.
+    """
+    from repro.fuzz.mutate import edit_session
+    from repro.server.cache import AnalysisCache
+    from repro.server.daemon import SliceServer
+    from repro.suite.harness import SUITE_PROGRAMS
+    from repro.suite.loader import load_source
+
+    options = AnalyzeOptions()
+    server = SliceServer(AnalysisCache(), executor="thread")
+    origins: dict[str, int] = {}
+    errors = 0
+    edit_ms = 0.0
+    served: list[tuple[str, str]] = []
+    request_id = 0
+
+    def request(text: str, filename: str) -> dict:
+        nonlocal request_id
+        request_id += 1
+        line = json.dumps(
+            {
+                "id": request_id,
+                "method": "stats",
+                "params": {"source": text, "filename": filename},
+            }
+        )
+        return json.loads(server.handle_line(line))
+
+    try:
+        for program in SUITE_PROGRAMS:
+            base = load_source(program)
+            filename = f"{program}.mj"
+            for seed in LINEAGE_SEEDS:
+                edits = edit_session(
+                    base, random.Random(seed), steps=LINEAGE_EDITS
+                )
+                assert "result" in request(base, filename)
+                for _label, text in edits:
+                    start = time.perf_counter()
+                    response = request(text, filename)
+                    edit_ms += (time.perf_counter() - start) * 1000
+                    if "result" not in response:
+                        errors += 1
+                        continue
+                    origin = response["result"]["origin"]
+                    origins[origin] = origins.get(origin, 0) + 1
+                    if origin == "incremental":
+                        served.append((text, filename))
+        for text, filename in served:
+            entry, _ = server.cache.get_entry(text, filename, options)
+            cold = encode_artifact(
+                analyze(text, filename, options=options),
+                key=content_key(text, options),
+            )
+            assert bytes(entry.view._buffer) == cold, filename
+    finally:
+        server.close()
+
+    point = {
+        "lineages": len(SUITE_PROGRAMS) * len(LINEAGE_SEEDS),
+        "edits_per_lineage": LINEAGE_EDITS,
+        "edit_total_ms": round(edit_ms, 1),
+        "origins": dict(sorted(origins.items())),
+        "errors": errors,
+        "incremental_byte_identical": len(served),
+        "environment": environment(),
+    }
+    print(json.dumps(point, indent=2, sort_keys=True))
+    _update_results(results_dir, {"served_lineages": point})
