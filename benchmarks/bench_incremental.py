@@ -1,24 +1,27 @@
-"""Incremental-analysis trajectory: cold vs warm-hit vs warm-edit.
+"""Incremental serving: cold vs warm-hit vs warm-edit, and served lineages.
 
-For each mid-size suite program, three latencies:
+``test_incremental_trajectory`` takes three latencies per mid-size
+suite program:
 
-* **cold** — full pipeline on an edited source (what every edit cost
-  before the incremental engine);
+* **cold** — full pipeline on an edited source (what an edit costs
+  without the incremental level);
 * **warm hit** — unchanged source served from the daemon's memory tier
   (the floor: no analysis at all);
-* **warm edit** — the same edit served by a live
-  :class:`repro.incremental.IncrementalSession`, split by tier:
-  ``relocate`` (comment shift, zero dirty functions) and ``delta``
-  (one-function statement insert, warm-started solver).
+* **warm edit** — a comment shift served by an
+  :class:`repro.incremental.IncrementalSession`, which relocates the
+  previous artifact's line tables.
 
-Every warm-edit payload is asserted byte-identical to the cold
-artifact before its timing counts — a fast wrong answer is no answer.
+Every relocated payload is asserted byte-identical to the cold artifact
+before its timing counts — a fast wrong answer is no answer — and a
+one-statement body edit is asserted to decline (it is served cold).
+The relocate ≥2x-under-cold threshold is asserted only on multi-core
+machines — a loaded 1-core box cannot hold a latency envelope
+honestly; ``thresholds_enforced`` records the decision.
 
-Emits a human table (``results/incremental.txt``) and a trajectory
-point (``results/BENCH_incremental.json``).  The relative thresholds
-(relocate ≥2x under cold, delta not past cold) are asserted only on
-multi-core machines — a loaded 1-core CI box cannot hold a latency
-envelope honestly; ``thresholds_enforced`` records the decision.
+``test_served_edit_lineages`` (a ``perf`` test) serves whole edit
+lineages through an in-process slice server and records their total
+edit time.  Both write ``results/BENCH_incremental.json``; a human
+table goes to ``results/incremental.txt``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import pytest
 from _util import emit, environment, format_table
 from repro import AnalyzeOptions, analyze
 from repro.artifact.encode import content_key, encode_artifact
-from repro.incremental import IncrementalSession, split_units
+from repro.incremental import DeclinedError, IncrementalSession, split_units
 
 PROGRAMS = ["jtopas", "minixml", "minijavac", "parsegen"]
 REPEATS = 3
@@ -68,6 +71,7 @@ def _timed(thunk) -> float:
 
 
 def test_incremental_trajectory(results_dir):
+    from repro.artifact import ArtifactView
     from repro.suite.loader import load_source
 
     options = AnalyzeOptions()
@@ -77,21 +81,26 @@ def test_incremental_trajectory(results_dir):
         source = load_source(program)
         analyzed, payload = _cold(source, options)
 
-        # Cold: what a one-statement edit costs without the engine.
+        # Cold: what a one-statement edit costs.  The incremental level
+        # declines it, so this is also what serving it costs.
         edited = _edit_stmt(source)
         cold_ms = _best(lambda: analyze(edited, "<input>", options=options))
-        edited_cold, edited_payload = _cold(edited, options)
+        session = IncrementalSession.from_analyzed(analyzed, source, payload)
+        try:
+            session.apply_edit(edited)
+        except DeclinedError as exc:
+            assert exc.reason == "method-changed"
+        else:
+            raise AssertionError(f"{program}: a body edit was not declined")
 
         # Warm hit: artifact bytes already in memory, the serving tier
         # just opens a view (the daemon-level number, with dispatch on
         # top, lives in BENCH_server.json).
-        from repro.artifact import ArtifactView
-
         warm_hit_ms = _best(
             lambda: ArtifactView.from_buffer(payload).close()
         )
 
-        # Warm edit, relocate tier: pure line shift.
+        # Warm edit: a pure line shift, relocated.
         shifted = "// bench shift\n" + source
         _, shifted_payload = _cold(shifted, options)
         relocate_samples = []
@@ -106,88 +115,51 @@ def test_incremental_trajectory(results_dir):
             assert outcome.payload == shifted_payload
         relocate_ms = min(relocate_samples)
 
-        # Warm edit, delta tier: one dirty function, solver warm-start.
-        delta_samples = []
-        tier = None
-        reused = reanalyzed = 0
-        for i in range(REPEATS):
-            session = IncrementalSession.from_analyzed(
-                analyzed, source, payload=payload
-            )
-            start = time.perf_counter()
-            outcome = session.apply_edit(edited)
-            delta_samples.append((time.perf_counter() - start) * 1000)
-            assert outcome.payload == edited_payload
-            tier = outcome.tier
-            reused = outcome.functions_reused
-            reanalyzed = outcome.functions_reanalyzed
-        delta_ms = min(delta_samples)
-
         rows.append(
             [
                 program,
                 f"{cold_ms:.1f}",
                 f"{warm_hit_ms:.3f}",
                 f"{relocate_ms:.2f}",
-                f"{delta_ms:.1f}",
-                tier,
-                f"{reused}/{reused + reanalyzed}",
             ]
         )
         points[program] = {
             "cold_ms": round(cold_ms, 2),
             "warm_hit_ms": round(warm_hit_ms, 4),
             "warm_edit_relocate_ms": round(relocate_ms, 3),
-            "warm_edit_delta_ms": round(delta_ms, 2),
-            "delta_tier": tier,
-            "functions_reused": reused,
-            "functions_reanalyzed": reanalyzed,
         }
 
     cpu_count = os.cpu_count() or 1
     thresholds_enforced = cpu_count >= 2
-    payload_json = {
-        "benchmark": "incremental",
-        "programs": points,
-        "cpu_count": cpu_count,
-        "thresholds_enforced": thresholds_enforced,
-        "byte_identity_checked": True,
-    }
     table = format_table(
-        [
-            "program",
-            "cold_ms",
-            "warm_hit_ms",
-            "relocate_ms",
-            "edit_ms",
-            "edit_tier",
-            "fns reused",
-        ],
-        rows,
+        ["program", "cold_ms", "warm_hit_ms", "relocate_ms"], rows
     )
     table += (
         f"\n\ncpu_count={cpu_count} "
         f"thresholds_enforced={thresholds_enforced}\n"
-        "every warm-edit payload asserted byte-identical to cold\n"
+        "every relocated payload asserted byte-identical to cold; "
+        "every body edit declined\n"
     )
     emit(results_dir, "incremental.txt", table)
-    (results_dir / "BENCH_incremental.json").write_text(
-        json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
+    _update_results(
+        results_dir,
+        {
+            "benchmark": "incremental",
+            "programs": points,
+            "cpu_count": cpu_count,
+            "thresholds_enforced": thresholds_enforced,
+            "byte_identity_checked": True,
+            "environment": environment(),
+        },
     )
 
     if thresholds_enforced:
-        # Measured on an unloaded box: relocate ~4-5x under cold, delta
-        # ~1.2x under (the solver warm-start saves real work, but SDG
-        # rebuild + re-encode still dominate on suite-size programs).
-        # Thresholds sit at ~half the measured headroom.
+        # Measured on an unloaded box: relocate ~4-6x under cold.  The
+        # threshold sits at ~half the measured headroom.
         for program, point in points.items():
             assert point["warm_edit_relocate_ms"] * 2 <= point["cold_ms"], (
                 f"{program}: relocate edit {point['warm_edit_relocate_ms']}ms "
                 f"not 2x under cold {point['cold_ms']}ms"
-            )
-            assert point["warm_edit_delta_ms"] <= point["cold_ms"] * 1.1, (
-                f"{program}: delta edit {point['warm_edit_delta_ms']}ms "
-                f"regressed past cold {point['cold_ms']}ms"
             )
 
 

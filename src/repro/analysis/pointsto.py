@@ -119,14 +119,12 @@ class PointsToAnalysis:
         containers: frozenset[str] | None = DEFAULT_CONTAINER_CLASSES,
         max_context_depth: int = 2,
         budget: Budget | None = None,
-        warm_pts: dict | None = None,
     ) -> None:
         self.program = program
         self.table = program.table
         self.containers = frozenset(containers or ())
         self.max_context_depth = max_context_depth
         self.budget = budget
-        self.warm_pts = warm_pts
 
         self._pts: dict[PointerKey, set[AbstractObject]] = defaultdict(set)
         self._edges: dict[PointerKey, set[tuple[PointerKey, Type | None]]] = (
@@ -150,20 +148,6 @@ class PointsToAnalysis:
     # ------------------------------------------------------------------
 
     def solve(self) -> PointsToResult:
-        if self.warm_pts:
-            # Warm start (incremental re-solve, see repro.incremental):
-            # pre-seed with a translated *prior* least fixpoint whose
-            # constraint system is a subset of this program's.  The
-            # seeds are final for the old system, so nothing is queued
-            # as a delta — old edges would propagate no news — while
-            # constraint generation below reads the full sets (field
-            # load/store expansion and dispatch resolution walk
-            # ``self._pts`` directly) and any genuinely new object
-            # still cascades through ``_add_objects`` as usual.  With
-            # the subset premise the solve converges to exactly the
-            # least fixpoint a cold solve reaches.
-            for key, objects in self.warm_pts.items():
-                self._pts[key] |= objects
         for root in self.program.entry_points():
             self._ensure_instance(root, None)
             function = self.program.functions[root]
@@ -469,18 +453,11 @@ def solve_points_to(
     containers: frozenset[str] | None = DEFAULT_CONTAINER_CLASSES,
     max_context_depth: int = 2,
     budget: Budget | None = None,
-    warm_pts: dict | None = None,
 ) -> PointsToResult:
     """Run the analysis with the given container-cloning configuration.
 
     ``budget`` (a :class:`repro.budget.Budget`) is polled at the
     worklist head, so a cancelled request abandons the solve within
     milliseconds by raising :class:`~repro.budget.BudgetExceeded`.
-
-    ``warm_pts`` pre-seeds the solver with a translated prior solution
-    (incremental warm edits — the caller guarantees the prior
-    constraint system is a subset of this one's).
     """
-    return PointsToAnalysis(
-        program, containers, max_context_depth, budget, warm_pts=warm_pts
-    ).solve()
+    return PointsToAnalysis(program, containers, max_context_depth, budget).solve()

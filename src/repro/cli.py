@@ -589,9 +589,6 @@ def _shard_serve_args(args: argparse.Namespace) -> list[str]:
         forwarded += ["--poison-threshold", str(args.poison_threshold)]
     if args.scrub_interval is not None:
         forwarded += ["--scrub-interval", str(args.scrub_interval)]
-    if args.no_incremental:
-        forwarded += ["--no-incremental"]
-    forwarded += ["--fragment-sessions", str(args.fragment_sessions)]
     return forwarded
 
 
@@ -808,8 +805,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scrub_interval = args.scrub_interval
     if scrub_interval is not None and scrub_interval <= 0:
         raise SystemExit("error: --scrub-interval must be positive")
-    if args.fragment_sessions < 1:
-        raise SystemExit("error: --fragment-sessions must be >= 1")
     server = SliceServer(
         cache,
         timeout=timeout,
@@ -819,8 +814,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_limit_mb=memory_limit,
         quarantine=quarantine,
         scrub_interval_s=scrub_interval,
-        incremental=not args.no_incremental,
-        fragment_sessions=args.fragment_sessions,
     )
     server.prestart()
     if args.tcp:
@@ -989,19 +982,6 @@ def main(argv: list[str] | None = None) -> int:
         help="seconds between background deep-verify sweeps of the "
         "disk store; corrupt artifacts are quarantined under "
         "corrupt/ (default: no scrubber; first sweep runs at start)",
-    )
-    p_serve.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable the per-function fragment store (edited sources "
-        "always fall back to cold analysis)",
-    )
-    p_serve.add_argument(
-        "--fragment-sessions",
-        type=int,
-        default=4,
-        help="live incremental edit sessions kept per daemon "
-        "(LRU by program structure; default: 4)",
     )
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress structured logs"

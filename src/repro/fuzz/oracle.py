@@ -128,30 +128,28 @@ def check_edit_session(
 ) -> EditSessionResult:
     """Differential oracle for the incremental engine.
 
-    Replays an :func:`repro.fuzz.mutate.edit_session` against a live
+    Replays an :func:`repro.fuzz.mutate.edit_session` against an
     :class:`repro.incremental.IncrementalSession` and, at every step,
-    against a cold analysis of the same text.  The contract:
+    against a cold analysis of the same text.  A declined step
+    re-anchors the session at its cold result, as the serving tier
+    does.  The contract:
 
     * cold succeeds → the session either *declines* (cold fallback is
       always sound) or returns a payload **byte-identical** to the cold
       artifact;
     * cold fails structurally → the session must not fabricate a
       result: anything but a decline is a finding;
-    * the session must never die on an unexpected exception
-      (:class:`repro.incremental.SessionDeadError`).
+    * the session must never raise anything but a decline or a budget
+      cancellation.
 
     Findings surface as verdict ``"crash"`` with error types
-    ``IncrementalMismatch`` / ``IncrementalAcceptedInvalid`` /
-    ``SessionDead:<cause>``, so the campaign de-duplicates them like
-    any other crash signature.
+    ``IncrementalMismatch`` / ``IncrementalAcceptedInvalid`` / the
+    unexpected exception's type, so the campaign de-duplicates them
+    like any other crash signature.
     """
     from repro.artifact import content_key, encode_artifact
     from repro.fuzz.mutate import edit_session
-    from repro.incremental import (
-        DeclinedError,
-        IncrementalSession,
-        SessionDeadError,
-    )
+    from repro.incremental import DeclinedError, IncrementalSession
 
     start = time.monotonic()
     checked = verified = 0
@@ -220,8 +218,7 @@ def check_edit_session(
                 edited, filename, budget=Budget.from_timeout(budget_s)
             )
         except DeclinedError:
-            # Cold fallback; keep the session aligned with the newest
-            # good text so later steps stay comparable.
+            # Cold fallback; its result anchors the next step.
             if cold_error is None:
                 session = IncrementalSession.from_analyzed(
                     step_cold,
@@ -234,12 +231,11 @@ def check_edit_session(
             continue
         except BudgetExceeded as exc:
             return done("error", "BudgetExceeded", str(exc))
-        except SessionDeadError as exc:
-            cause = type(exc.__cause__).__name__
+        except Exception as exc:
             return done(
                 "crash",
-                f"SessionDead:{cause}",
-                f"session died at step {checked} ({label}): {exc.__cause__}",
+                type(exc).__name__,
+                f"session raised at step {checked} ({label}): {exc}",
                 traceback.format_exc(),
                 failing=edited,
             )

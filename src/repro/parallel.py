@@ -132,9 +132,9 @@ def _worker_main(conn: multiprocessing.connection.Connection) -> None:
         # No instruction outlives a task, so rewinding the uid counter
         # is safe here (and only here): it keeps instruction uids
         # identical across workers and restarts.  A serving parent
-        # must never do this: its incremental edit sessions
-        # (repro.incremental) hold live instructions across requests
-        # and only ever advance the counter.  The two schemes coexist
+        # must never do this: with the thread executor several cold
+        # analyses draw uids at once, and a rewind would hand one live
+        # program's uids to another.  The two schemes coexist
         # because artifact bytes encode call sites as *ranks* within
         # the uid order, not absolute uids, so a worker's payload and
         # one encoded in the parent stay byte-identical.

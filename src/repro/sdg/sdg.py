@@ -165,8 +165,6 @@ def build_sdg(
     node_budget: int | None = None,
     index_as_producer: bool = False,
     budget: Budget | None = None,
-    flow_pairs_cache: dict | None = None,
-    ctrl_pairs_cache: dict | None = None,
 ) -> SDG:
     """Assemble the SDG for every call-graph-reachable method instance.
 
@@ -179,15 +177,6 @@ def build_sdg(
     ``budget`` (a :class:`repro.budget.Budget`) is polled at the
     per-instance loop heads, so a cancelled request abandons
     construction with :class:`~repro.budget.BudgetExceeded`.
-
-    ``flow_pairs_cache``/``ctrl_pairs_cache`` optionally inject the
-    per-function dependence-pair memos, letting an incremental caller
-    (:mod:`repro.incremental`) carry them across edits: the pairs hold
-    instruction objects, which for unedited functions are the *same*
-    objects from one build to the next, so only edited functions pay
-    for re-deriving their def-use chains and control dependences.  The
-    caller owns eviction — any entry for a function whose body changed
-    must be dropped before the build.
     """
     if heap_mode not in ("direct", "params"):
         raise ValueError(f"unknown heap_mode {heap_mode!r}")
@@ -196,8 +185,6 @@ def build_sdg(
     builder = _SDGBuilder(
         compiled, pts, heap_mode, include_control, modref, node_budget,
         index_as_producer, budget,
-        flow_pairs_cache=flow_pairs_cache,
-        ctrl_pairs_cache=ctrl_pairs_cache,
     )
     return builder.build()
 
@@ -213,8 +200,6 @@ class _SDGBuilder:
         node_budget: int | None,
         index_as_producer: bool = False,
         budget: Budget | None = None,
-        flow_pairs_cache: dict | None = None,
-        ctrl_pairs_cache: dict | None = None,
     ) -> None:
         self.compiled = compiled
         self.program = compiled.ir
@@ -246,12 +231,8 @@ class _SDGBuilder:
         # function: local def-use chains and control deps are properties
         # of the SSA body, so computing them once and replaying against
         # each context's nodes avoids re-walking multi-instance methods.
-        self._flow_pairs_cache: dict[str, list[tuple]] = (
-            flow_pairs_cache if flow_pairs_cache is not None else {}
-        )
-        self._ctrl_pairs_cache: dict[str, list[tuple]] = (
-            ctrl_pairs_cache if ctrl_pairs_cache is not None else {}
-        )
+        self._flow_pairs_cache: dict[str, list[tuple]] = {}
+        self._ctrl_pairs_cache: dict[str, list[tuple]] = {}
 
     # ------------------------------------------------------------------
 

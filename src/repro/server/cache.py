@@ -18,10 +18,10 @@ Every analysis result is promoted into both tiers, so a restarted
 process finds the artifact on disk and a long-lived process answers
 from memory.  The incremental level (an optional
 :class:`~repro.server.fragments.FragmentStore`) catches the
-highest-traffic *near*-miss: a source that is an edit of a program the
-server recently analyzed re-analyzes only its changed functions and
-still yields byte-identical artifact bytes (see
-:mod:`repro.incremental`).
+cheapest *near*-miss: a source that only moves lines of a program the
+server recently analyzed (comments, blank lines) is served by
+rewriting that artifact's line tables, with no analysis and
+byte-identical artifact bytes (see :mod:`repro.incremental`).
 
 The unit cached is a :class:`CacheEntry`: a flat
 :class:`~repro.artifact.ArtifactView` and nothing else.  Every method
@@ -46,7 +46,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro import AnalyzedProgram, AnalyzeOptions
+from repro import AnalyzeOptions
 from repro.artifact import ArtifactView, content_key
 from repro.parallel import ProcessPool, WorkerError, analyze_artifact
 from repro.resources import ResourceExceeded
@@ -104,7 +104,7 @@ class AnalysisCache:
         self.executor = executor
         self.fragments = fragments
         if fragments is not None and fragments.loader is None:
-            fragments.loader = self._load_for_seed
+            fragments.loader = self._stored_payload
         #: Replica tier hook: ``replica_fetch(key) -> bytes | None``.
         #: Installed by the daemon when replication is configured.
         self.replica_fetch = None
@@ -168,13 +168,16 @@ class AnalysisCache:
                 if self.store is not None:
                     self.store.save_bytes(key, payload, replicate=False)
                 return entry, "replica"
+        shape = None
         if self.fragments is not None:
-            # Incremental level: if this source is an *edit* of a
-            # lineage we hold a session for, re-analyze only the dirty
-            # functions.  The payload is byte-identical to cold, so it
-            # is promoted into both tiers exactly like a cold result.
+            # Incremental level: if this source only moves lines of a
+            # lineage we hold an anchor for, relocate that artifact.
+            # The payload is byte-identical to cold, so it is promoted
+            # into both tiers exactly like a cold result.
+            shape = self.fragments.shape(source)
+        if shape is not None:
             outcome = self.fragments.try_incremental(
-                key, source, filename, options
+                key, source, filename, options, shape
             )
             if outcome is not None:
                 entry = CacheEntry(
@@ -204,11 +207,12 @@ class AnalysisCache:
             self._put(key, entry)
         if self.store is not None:
             self.store.save_bytes(key, payload)
-        if self.fragments is not None:
-            # A completed cold analysis is the seed material for this
-            # lineage's future edits (materialized lazily on the next
-            # miss against the same program structure).
-            self.fragments.note_cold(key, source, filename, options)
+        if shape is not None:
+            # A completed cold analysis anchors this lineage's next
+            # line-shift edit.
+            self.fragments.note_cold(
+                key, source, filename, options, payload, shape
+            )
         return entry, "analyzed"
 
     def _analyze_in_executor(
@@ -255,43 +259,33 @@ class AnalysisCache:
                 raise ResourceExceeded("memory", exc.message) from None
             raise
 
-    def _load_for_seed(
-        self, key: str, source: str, filename: str, options: AnalyzeOptions
-    ) -> tuple[AnalyzedProgram, bytes] | None:
-        """Retrieve a cold result for session seeding (memory, then
-        disk).  Materializing the artifact re-analyzes its embedded
-        source — the one-time cost of converting a lineage to
-        incremental serving, and the only place the serving tier
-        builds the rich object graph.  It is built on a throwaway view
-        over a copy of the bytes, so no cached entry keeps it alive.
-        Returns None when the result is gone from both tiers (the
-        lineage just stays cold)."""
+    def _stored_payload(self, key: str) -> bytes | None:
+        """The artifact bytes filed under ``key`` (memory, then disk),
+        or None — how the fragment store rebuilds a checkpointed
+        relocation anchor without re-analyzing."""
         with self._lock:
             entry = self._entries.get(key)
         if entry is not None:
-            payload = bytes(entry.view._buffer)
-        elif self.store is not None:
-            payload = self.store.load_payload(key)
-        else:
-            payload = None
-        if payload is None:
-            return None
-        try:
-            return ArtifactView.from_buffer(payload).to_analyzed_program(), payload
-        except Exception:
-            return None
+            return bytes(entry.view._buffer)
+        if self.store is not None:
+            return self.store.load_payload(key)
+        return None
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry from the memory tier (serve-time degrade).
 
         The daemon calls this when a slice blows up *inside* a flat
         walk — bytes that passed load-time verification but turned out
-        poisoned anyway.  The entry's view is deliberately *not*
-        closed: another worker thread may be mid-slice over the same
-        mapping, and releasing the buffer under it would turn one bad
-        request into a crash.  The mmap is reclaimed when the last
-        reference drops.  Returns whether an entry was removed.
+        poisoned anyway.  Any relocation anchor built on the same
+        artifact goes too, so the retry recomputes.  The entry's view
+        is deliberately *not* closed: another worker thread may be
+        mid-slice over the same mapping, and releasing the buffer under
+        it would turn one bad request into a crash.  The mmap is
+        reclaimed when the last reference drops.  Returns whether an
+        entry was removed.
         """
+        if self.fragments is not None:
+            self.fragments.forget(key)
         with self._lock:
             return self._entries.pop(key, None) is not None
 

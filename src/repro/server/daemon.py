@@ -74,7 +74,7 @@ from repro.profiling import merge_timing_dicts
 from repro.resources import ResourceExceeded
 from repro.server.cache import AnalysisCache, CacheEntry, cache_key
 from repro.server.faults import FaultPlan
-from repro.server.fragments import DEFAULT_SESSION_CAPACITY, FragmentStore
+from repro.server.fragments import FragmentStore
 from repro.server.quarantine import CircuitBreaker, Quarantine
 from repro.server.replication import (
     DEFAULT_REPLICATION_FACTOR,
@@ -206,21 +206,19 @@ class SliceServer:
         breaker: CircuitBreaker | None = None,
         scrub_interval_s: float | None = None,
         incremental: bool = True,
-        fragment_sessions: int = DEFAULT_SESSION_CAPACITY,
     ) -> None:
         if executor not in ("thread", "process"):
             raise ValueError(f"unknown executor: {executor!r}")
         self.cache = cache if cache is not None else AnalysisCache()
         if incremental and self.cache.fragments is None:
-            # Attach the incremental level (edit-aware warm path).  The
-            # cache injects its own seed loader; ``incremental=False``
-            # (or a pre-wired cache) leaves serving strictly two-tier.
-            fragments = FragmentStore(capacity=fragment_sessions)
-            fragments.loader = self.cache._load_for_seed
+            # Attach the incremental level (line-shift warm path).
+            # ``incremental=False`` (or a pre-wired cache) leaves
+            # serving strictly two-tier.
+            fragments = FragmentStore(loader=self.cache._stored_payload)
             if self.cache.store is not None:
                 # Crash anchors ride in the artifact store's directory:
-                # a respawned shard pointed at the same root reseeds
-                # its warm lineages lazily from these sidecars.
+                # a respawned shard pointed at the same root rebuilds
+                # its warm lineages from these sidecars.
                 fragments.checkpoint_dir = self.cache.store.root / "sessions"
             self.cache.fragments = fragments
         self.timeout = timeout

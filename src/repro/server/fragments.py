@@ -1,100 +1,93 @@
-"""Per-function fragment store: the serving tier's incremental level.
+"""Fragment store: the serving tier's incremental level.
 
 The :class:`~repro.server.cache.AnalysisCache` key is the whole-source
 content address — any edit misses it.  The :class:`FragmentStore` sits
-between that miss and the cold fallback: it keeps a small LRU of live
-:class:`~repro.incremental.IncrementalSession` objects keyed by
-``(structure fingerprint, options token)``, so an edited source whose
-*structure* (classes, signatures, fields) matches a session's lineage
-is re-analyzed function-granularly and served byte-identical to cold.
+between that miss and the cold fallback: it keeps a small LRU of
+:class:`~repro.incremental.IncrementalSession` anchors keyed by
+``(structure fingerprint, options token)``, so an edit that only moves
+lines of a program the server recently analyzed is served by
+relocating the held artifact, byte-identical to cold.
 
-Sessions are seeded lazily: a miss with no session records a *pending
-seed* (the request's key/source), the cold analysis proceeds as usual
-and :meth:`note_cold` remembers it; the **next** miss in the same slot
-materializes the session from the cached cold result via the injected
-``loader`` and then applies its edit.  This keeps session construction
-(a deep copy of the full object graph) off the path of sources that
-are analyzed once and never edited.
+A slot's session is built (or re-pointed) by :meth:`note_cold` the
+moment a cold result lands: it holds the payload bytes and the unit
+decomposition :meth:`shape` computed for the request — no analysis.
+A declined edit's cold result therefore becomes the anchor for the
+next line shift, and a successful relocation advances the anchor in
+place.
 
 Thread-safety: the store lock guards the LRU and counters; each slot
 carries its own lock so edits against one lineage serialize while
-different lineages proceed in parallel.  A session that dies mid-edit
-(:class:`~repro.incremental.SessionDeadError`, or a budget
-cancellation) is discarded and its slot reverts to pending-seed.
+different lineages proceed in parallel.
 
-**Checkpointing** (PR 10): sessions live in process memory, so a shard
-crash or rolling restart used to reset every warm lineage to cold.
-When ``checkpoint_dir`` is set, the store writes a small JSON sidecar
-per slot — structure fingerprint, options token, per-unit
-fingerprints, and the latest artifact key + source — atomically
-(tmp + rename) whenever a lineage advances (cold seed recorded,
-edit applied).  The sidecar is *not* a session dump: it is the
-pending-seed anchor, pointing at an artifact that is already durable
-in the disk store (and replicated).  A respawned shard that misses a
-slot consults the sidecar, restores the pending seed, and rebuilds
-the session through the ordinary lazy materialization path — the
-first post-restart edit is function-granular again instead of cold.
+**Checkpointing**: sessions live in process memory, so a shard crash
+or rolling restart would reset every warm lineage to cold.  When
+``checkpoint_dir`` is set, the store writes a small JSON sidecar per
+slot — structure fingerprint, options token and the latest artifact
+key + source — atomically (a private temp file, then a rename) whenever
+a lineage advances.  The sidecar points at an artifact that is already
+durable in the disk store (and replicated).  A respawned shard that
+misses a slot consults the sidecar and rebuilds the session from that
+artifact's bytes, fetched through ``loader`` — the first post-restart
+line shift is served warm instead of cold.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import AnalyzeOptions
-from repro.budget import BudgetExceeded
+from repro.frontend import normalize_source
 from repro.incremental import (
     DeclinedError,
     IncrementalOutcome,
     IncrementalSession,
-    SessionDeadError,
+    ProgramShape,
     split_units,
 )
 
 logger = logging.getLogger("repro.server")
 
-DEFAULT_SESSION_CAPACITY = 4
+#: Lineages (relocation anchors) kept per store, LRU by structure.
+SESSION_CAPACITY = 4
 
 #: Sidecar format version; bumped when the schema changes so a new
 #: binary quietly ignores old checkpoints instead of mis-reading them.
 CHECKPOINT_VERSION = 1
 
-#: ``loader(key, source, filename, options)`` returns the cold result
-#: to seed a session from — ``(analyzed_program, payload_bytes|None)``
-#: — or None when it is no longer retrievable.
-SeedLoader = Callable[..., "tuple[Any, bytes | None] | None"]
+#: ``loader(key)`` returns the stored artifact bytes for ``key``, or
+#: None when they are no longer retrievable.
+PayloadLoader = Callable[[str], "bytes | None"]
 
 
 class _Slot:
-    """One program lineage: a live session and/or a pending seed."""
+    """One program lineage: its relocation anchor, if any, and the
+    content key of the anchor's artifact."""
 
-    __slots__ = ("lock", "session", "pending")
+    __slots__ = ("lock", "session", "key")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.session: IncrementalSession | None = None
-        # (key, source, filename) of the cold analysis to seed from.
-        self.pending: tuple[str, str, str] | None = None
+        self.key: str | None = None
 
 
 class FragmentStore:
-    """LRU of incremental edit sessions plus the counters they feed."""
+    """LRU of relocation anchors plus the counters they feed."""
 
     def __init__(
         self,
-        capacity: int = DEFAULT_SESSION_CAPACITY,
-        loader: SeedLoader | None = None,
+        loader: PayloadLoader | None = None,
         checkpoint_dir: Path | str | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         self.loader = loader
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -115,16 +108,6 @@ class FragmentStore:
 
     # ------------------------------------------------------------------
 
-    def _slot_key(
-        self, source: str, options: AnalyzeOptions
-    ) -> tuple[str, str] | None:
-        try:
-            shape = split_units(source)
-        except DeclinedError as exc:
-            self._decline(exc.reason)
-            return None
-        return (shape.structure_fingerprint, options.cache_token())
-
     def _decline(self, reason: str) -> None:
         with self._lock:
             self.incremental_misses += 1
@@ -136,7 +119,7 @@ class FragmentStore:
             if slot is None:
                 slot = _Slot()
                 self._slots[slot_key] = slot
-                while len(self._slots) > self.capacity:
+                while len(self._slots) > SESSION_CAPACITY:
                     _, evicted = self._slots.popitem(last=False)
                     if evicted.session is not None:
                         self.sessions_dropped += 1
@@ -146,60 +129,53 @@ class FragmentStore:
 
     # ------------------------------------------------------------------
 
+    def shape(self, source: str) -> ProgramShape | None:
+        """The unit decomposition of ``source`` — computed once per
+        request and handed to :meth:`try_incremental` and
+        :meth:`note_cold` — or None when it does not split (counted as
+        a decline; such a source has no lineage)."""
+        try:
+            return split_units(normalize_source(source))
+        except DeclinedError as exc:
+            self._decline(exc.reason)
+            return None
+
     def try_incremental(
         self,
         key: str,
         source: str,
         filename: str,
         options: AnalyzeOptions,
+        shape: ProgramShape,
     ) -> IncrementalOutcome | None:
-        """Attempt to serve the edited ``source`` from a session.
+        """Attempt to serve the edited ``source`` by relocation.
 
         Returns the outcome (payload byte-identical to a cold analysis)
-        or None — in which case the caller falls back to cold and, if a
-        seed was registered for this slot, reports the result back via
-        :meth:`note_cold`.  :class:`~repro.budget.BudgetExceeded`
-        propagates (the request was cancelled, not declined).
+        or None — in which case the caller falls back to cold and
+        reports the result back via :meth:`note_cold`.
+        :class:`~repro.budget.BudgetExceeded` propagates (the request
+        was cancelled, not declined).
         """
-        slot_key = self._slot_key(source, options)
-        if slot_key is None:
-            return None
+        slot_key = (shape.structure_fingerprint, options.cache_token())
         slot = self._get_slot(slot_key)
         with slot.lock:
-            if slot.session is None and slot.pending is None:
+            if slot.session is None:
                 # Fresh process (crash or rolling restart): the lineage
                 # may have a checkpoint sidecar pointing at a durable
-                # artifact — restore the pending seed from it.
-                self._restore(slot, slot_key)
-            if slot.session is None and slot.pending is not None:
-                self._materialize(slot, options)
+                # artifact — rebuild the anchor from it.
+                self._restore(slot, slot_key, options)
             session = slot.session
             if session is None:
-                # Nothing to edit against yet; remember this request so
-                # its cold result can seed the lineage.
-                slot.pending = (key, source, filename)
                 self._decline("no-session")
                 return None
             try:
-                outcome = session.apply_edit(
-                    source, filename, budget=options.budget
+                outcome = session.relocate(
+                    source, shape, filename, budget=options.budget
                 )
             except DeclinedError as exc:
                 self._decline(exc.reason)
                 return None
-            except BudgetExceeded:
-                slot.session = None
-                slot.pending = (key, source, filename)
-                with self._lock:
-                    self.sessions_dropped += 1
-                raise
-            except SessionDeadError as exc:
-                slot.session = None
-                slot.pending = (key, source, filename)
-                with self._lock:
-                    self.sessions_dropped += 1
-                self._decline(f"session-died:{type(exc.__cause__).__name__}")
-                return None
+            slot.key = key
         with self._lock:
             self.incremental_hits += 1
             self.functions_reused += outcome.functions_reused
@@ -211,57 +187,45 @@ class FragmentStore:
         return outcome
 
     def note_cold(
-        self, key: str, source: str, filename: str, options: AnalyzeOptions
+        self,
+        key: str,
+        source: str,
+        filename: str,
+        options: AnalyzeOptions,
+        payload: bytes,
+        shape: ProgramShape,
     ) -> None:
-        """Record that a cold analysis for ``source`` just completed.
-
-        If this slot was waiting for a seed, point the pending marker at
-        the freshest cold result; materialization stays lazy.
-        """
-        slot_key = self._slot_key_quiet(source, options)
-        if slot_key is None:
+        """Anchor the lineage of ``source`` (split as ``shape``) at its
+        fresh cold result."""
+        try:
+            session = IncrementalSession(payload, shape, options)
+        except DeclinedError:
             return
+        slot_key = (shape.structure_fingerprint, options.cache_token())
         slot = self._get_slot(slot_key)
         with slot.lock:
-            if slot.session is None:
-                slot.pending = (key, source, filename)
-        self._checkpoint(slot_key, key, source, filename)
-
-    def _slot_key_quiet(
-        self, source: str, options: AnalyzeOptions
-    ) -> tuple[str, str] | None:
-        try:
-            shape = split_units(source)
-        except DeclinedError:
-            return None
-        return (shape.structure_fingerprint, options.cache_token())
-
-    def _materialize(self, slot: _Slot, options: AnalyzeOptions) -> None:
-        """Build the slot's session from its pending cold result.
-
-        Called with the slot lock held.  Failures just clear the seed
-        — the lineage reverts to cold until another analysis lands.
-        """
-        if self.loader is None or slot.pending is None:
-            return
-        key, source, filename = slot.pending
-        loaded = self.loader(key, source, filename, options)
-        if loaded is None:
-            slot.pending = None
-            return
-        analyzed, payload = loaded
-        try:
-            session = IncrementalSession.from_analyzed(
-                analyzed, source, payload=payload
-            )
-        except DeclinedError as exc:
-            self._decline(f"seed:{exc.reason}")
-            slot.pending = None
-            return
-        slot.session = session
-        slot.pending = None
+            slot.session = session
+            slot.key = key
         with self._lock:
             self.sessions_seeded += 1
+        self._checkpoint(slot_key, key, source, filename)
+
+    def forget(self, key: str) -> None:
+        """Drop every anchor built on the artifact filed under ``key``.
+
+        The daemon calls this (through the cache) when that artifact
+        failed mid-query: relocating from suspect bytes would serve
+        them again instead of the recompute the degrade path wants.
+        """
+        with self._lock:
+            slots = list(self._slots.values())
+        for slot in slots:
+            with slot.lock:
+                if slot.key == key:
+                    slot.session = None
+                    slot.key = None
+                    with self._lock:
+                        self.sessions_dropped += 1
 
     # ------------------------------------------------------------------
     # Checkpoint sidecars
@@ -278,67 +242,80 @@ class FragmentStore:
     def _checkpoint(
         self, slot_key: tuple[str, str], key: str, source: str, filename: str
     ) -> None:
-        """Atomically persist the lineage's pending-seed anchor.
+        """Atomically persist the lineage's crash anchor.
 
-        Best-effort: a full disk or unwritable directory degrades the
-        store to its pre-checkpoint behavior (warm state dies with the
-        process) — it never fails the request that triggered it.
+        Each write goes through its own temp file in the sidecar's
+        directory, so concurrent writers for one lineage never rename
+        each other's half-written bytes into place.  Best-effort: a
+        full disk or unwritable directory degrades the store to its
+        pre-checkpoint behavior (warm state dies with the process) — it
+        never fails the request that triggered it.
         """
         path = self._checkpoint_path(slot_key)
         if path is None:
             return
+        record = {
+            "version": CHECKPOINT_VERSION,
+            "structure_fingerprint": slot_key[0],
+            "options_token": slot_key[1],
+            "key": key,
+            "filename": filename,
+            "source": source,
+        }
         try:
-            shape = split_units(source)
-            record = {
-                "version": CHECKPOINT_VERSION,
-                "structure_fingerprint": slot_key[0],
-                "options_token": slot_key[1],
-                "key": key,
-                "filename": filename,
-                "source": source,
-                "unit_fingerprints": {
-                    unit.name: unit.fingerprint for unit in shape.units
-                },
-            }
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.stem, suffix=".tmp"
             )
-            os.replace(tmp, path)
-            self._trim_checkpoints()
-        except (OSError, DeclinedError) as exc:
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(record, handle, sort_keys=True)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
             with self._lock:
                 self.checkpoint_errors += 1
             logger.warning("session checkpoint failed: %s", exc)
             return
         with self._lock:
             self.checkpoints_written += 1
+        self._trim_checkpoints()
 
     def _trim_checkpoints(self) -> None:
         """Keep the sidecar population bounded at a small multiple of
-        the session capacity, oldest-written first — mirrors the LRU."""
+        the session capacity, oldest-written first — mirrors the LRU.
+        Best-effort: a sidecar another writer removed mid-trim is
+        simply skipped."""
         assert self.checkpoint_dir is not None
-        sidecars = sorted(
-            self.checkpoint_dir.glob("*.json"),
-            key=lambda p: p.stat().st_mtime,
-            reverse=True,
-        )
-        for stale in sidecars[max(4 * self.capacity, 8):]:
+        try:
+            sidecars = sorted(
+                self.checkpoint_dir.glob("*.json"),
+                key=lambda p: p.stat().st_mtime,
+                reverse=True,
+            )
+        except OSError:
+            return
+        for stale in sidecars[4 * SESSION_CAPACITY:]:
             try:
                 stale.unlink()
             except OSError:
                 pass
 
-    def _restore(self, slot: _Slot, slot_key: tuple[str, str]) -> None:
-        """Repopulate an empty slot's pending seed from its sidecar.
+    def _restore(
+        self, slot: _Slot, slot_key: tuple[str, str], options: AnalyzeOptions
+    ) -> None:
+        """Rebuild an empty slot's session from its sidecar.
 
         Called with the slot lock held.  Every validation failure is
-        silent — a missing/stale/corrupt sidecar simply means the
-        lineage starts cold, exactly as if checkpointing were off.
+        silent — a missing/stale/corrupt sidecar, or an artifact gone
+        from the store, simply means the lineage starts cold, exactly
+        as if checkpointing were off.
         """
         path = self._checkpoint_path(slot_key)
-        if path is None:
+        if path is None or self.loader is None:
             return
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
@@ -355,16 +332,20 @@ class FragmentStore:
             return
         key = record.get("key")
         source = record.get("source")
-        filename = record.get("filename")
-        if not (
-            isinstance(key, str)
-            and isinstance(source, str)
-            and isinstance(filename, str)
-        ):
+        if not (isinstance(key, str) and isinstance(source, str)):
             return
-        slot.pending = (key, source, filename)
+        payload = self.loader(key)
+        if payload is None:
+            return
+        try:
+            shape = split_units(normalize_source(source))
+            slot.session = IncrementalSession(payload, shape, options)
+        except DeclinedError:
+            return
+        slot.key = key
         with self._lock:
             self.sessions_restored += 1
+            self.sessions_seeded += 1
 
     # ------------------------------------------------------------------
 
@@ -378,15 +359,12 @@ class FragmentStore:
                 "sessions": sum(
                     1 for s in self._slots.values() if s.session is not None
                 ),
-                "seeds_pending": sum(
-                    1 for s in self._slots.values() if s.pending is not None
-                ),
                 "sessions_seeded": self.sessions_seeded,
                 "sessions_dropped": self.sessions_dropped,
                 "sessions_restored": self.sessions_restored,
                 "checkpoints_written": self.checkpoints_written,
                 "checkpoint_errors": self.checkpoint_errors,
-                "capacity": self.capacity,
+                "capacity": SESSION_CAPACITY,
                 "declines": dict(sorted(self.declines.items())),
                 "tiers": dict(sorted(self.tiers.items())),
             }

@@ -3,8 +3,7 @@
 The points-to solver's observable facts (non-empty points-to sets,
 method instances, call graph) are pinned per program and container
 configuration by digests recorded while two independent solvers still
-agreed on every one of them, and a cold solve is compared with a
-warm-started one on the suite, down to the slices built on top.
+agreed on every one of them.
 
 Also covers artifact determinism across processes, byte-identity of
 one query answered over every executor path, and the demand-driven
@@ -32,8 +31,6 @@ from repro.analysis.pointsto import DEFAULT_CONTAINER_CLASSES, solve_points_to
 from repro.frontend import compile_source
 from repro.sdg.sdg import build_sdg
 from repro.slicing.tabulation import TabulationSlicer
-from repro.slicing.thin import ThinSlicer
-from repro.slicing.traditional import TraditionalSlicer
 from repro.suite.harness import SUITE_PROGRAMS
 from repro.suite.loader import load_source
 
@@ -217,82 +214,14 @@ def test_solver_facts_match_pinned(case):
     assert facts_digest(compiled, result) == PINNED_FACTS[case]
 
 
-# The remaining solver has two ways in: a cold solve, and the warm
-# start the incremental engine uses, which pre-seeds it with part of a
-# prior least fixpoint.  Any seed drawn from the least fixpoint must
-# lead to exactly the facts the cold solve reaches, so the two starts
-# are compared here the way two solvers once were.
-
-
-def _warm_seeds(cold) -> dict:
-    """Every other pointer key of ``cold`` (in a stable order) with its
-    full points-to set: a proper, non-empty subset of the fixpoint."""
-    keys = sorted(cold.pts, key=repr)[::2]
-    return {key: set(cold.pts[key]) for key in keys}
-
-
-def _cold_and_warm(compiled):
-    cold = solve_points_to(compiled.ir)
-    seeds = _warm_seeds(cold)
-    assert seeds and len(seeds) < len(cold.pts)
-    warm = solve_points_to(compiled.ir, warm_pts=seeds)
-    return cold, warm
-
-
-def _assert_results_identical(cold, warm) -> None:
-    assert cold.pts, "cold solve produced no points-to facts"
-    assert all(cold.pts.values()), "cold solve kept an empty points-to set"
-    assert warm.pts == cold.pts, "points-to sets differ"
-    assert warm.instances == cold.instances, "method instances differ"
-    assert warm.call_graph.nodes == cold.call_graph.nodes
-    warm_edges = {k: v for k, v in warm.call_graph.edges.items() if v}
-    cold_edges = {k: v for k, v in cold.call_graph.edges.items() if v}
-    assert warm_edges == cold_edges, "call graph edges differ"
-
-
-@pytest.mark.parametrize("name", SUITE_PROGRAMS)
-def test_solver_differential_on_suite(name):
-    compiled = compile_source(load_source(name), name, include_stdlib=True)
-    _assert_results_identical(*_cold_and_warm(compiled))
-
-
-@pytest.mark.parametrize("name", ["minixml", "jtopas"])
-def test_slices_identical_across_solvers(name):
-    """Cold and warm-started solves must induce identical thin and
-    traditional slices."""
-    compiled = compile_source(load_source(name), name, include_stdlib=True)
-    cold, warm = _cold_and_warm(compiled)
-    sdg_cold = build_sdg(compiled, cold)
-    sdg_warm = build_sdg(compiled, warm)
-    for line in _sample_lines(compiled):
-        for slicer_cls in (ThinSlicer, TraditionalSlicer):
-            got = slicer_cls(compiled, sdg_warm).slice_from_line(line)
-            want = slicer_cls(compiled, sdg_cold).slice_from_line(line)
-            assert got.lines == want.lines, (
-                f"{slicer_cls.__name__} slice at {name}:{line} differs"
-            )
-
-
-def test_solver_differential_scc_heavy():
+def test_scc_heavy_ring_smears_every_allocation():
+    """The ring rotation must smear all three Node allocations over all
+    three static fields."""
     compiled = compile_source(SCC_HEAVY, "scc.mj", include_stdlib=True)
-    cold, warm = _cold_and_warm(compiled)
-    _assert_results_identical(cold, warm)
-    # The ring rotation must smear all three Node allocations over all
-    # three static fields.
+    result = solve_points_to(compiled.ir)
     for field in ("a", "b", "c"):
-        objs = cold.static_points_to("Ring", field)
+        objs = result.static_points_to("Ring", field)
         assert len(objs) == 3, f"Ring.{field} -> {objs}"
-
-
-def test_scc_heavy_slices_identical():
-    compiled = compile_source(SCC_HEAVY, "scc.mj", include_stdlib=True)
-    cold, warm = _cold_and_warm(compiled)
-    sdg_cold = build_sdg(compiled, cold)
-    sdg_warm = build_sdg(compiled, warm)
-    for line in _sample_lines(compiled):
-        got = ThinSlicer(compiled, sdg_warm).slice_from_line(line)
-        want = ThinSlicer(compiled, sdg_cold).slice_from_line(line)
-        assert got.lines == want.lines
 
 
 class TestProcessArtifactDeterminism:

@@ -1,10 +1,11 @@
-"""Incremental (warm-edit) analysis: the byte-identity contract.
+"""Incremental (warm-edit) serving: the byte-identity contract.
 
-The engine's one non-negotiable: an edit served from a live
-:class:`repro.incremental.IncrementalSession` must produce an artifact
-**byte-identical** to a cold analysis of the same text — whatever tier
-(relocate / delta / resolve) served it.  Everything else (declines,
-dead sessions) must fall back to cold, never fabricate.
+The engine's one non-negotiable: an edit served from an
+:class:`repro.incremental.IncrementalSession` — a line shift relocated
+from the previous artifact — must produce an artifact **byte-identical**
+to a cold analysis of the same text.  Every other edit declines and
+falls back to cold, never fabricates; served through the cache, its
+cold result then anchors the next line shift.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ def _session(source: str, options: AnalyzeOptions) -> IncrementalSession:
     )
 
 
+def _cache(tmp_path=None):
+    from repro.server.cache import AnalysisCache
+    from repro.server.fragments import FragmentStore
+    from repro.server.store import DiskStore
+
+    store = DiskStore(tmp_path) if tmp_path is not None else None
+    return AnalysisCache(store=store, fragments=FragmentStore())
+
+
+def _served(cache, source: str, options: AnalyzeOptions) -> str:
+    """Serve ``source`` and check the bytes against cold; the origin."""
+    entry, origin = cache.get_entry(source, "<input>", options)
+    assert bytes(entry.view._buffer) == _cold_payload(source, options)
+    return origin
+
+
 def _method_spans(source: str):
     """Multi-line method/constructor units, where statement edits land."""
     shape = split_units(source)
@@ -67,18 +84,18 @@ def _insert_stmt(source: str, index: int | None = None) -> str:
 
 @pytest.mark.parametrize("name", program_names())
 def test_single_function_edit_is_byte_identical(name):
+    """A body edit declines and is served cold, byte-identical."""
     source = load_source(name)
     if not _method_spans(source):
         pytest.skip("no multi-line method to edit")
     options = AnalyzeOptions()
-    session = _session(source, options)
     edited = _insert_stmt(source)
-    outcome = session.apply_edit(edited)
-    assert outcome.payload == _cold_payload(edited, options), outcome.tier
-    assert outcome.functions_reanalyzed >= 1
-    spans = _method_spans(source)
-    if len(spans) > 1:
-        assert outcome.functions_reused >= 1
+    with pytest.raises(DeclinedError) as info:
+        _session(source, options).apply_edit(edited)
+    assert info.value.reason == "method-changed"
+    cache = _cache()
+    assert _served(cache, source, options) == "analyzed"
+    assert _served(cache, edited, options) == "analyzed"
 
 
 @pytest.mark.parametrize("name", program_names())
@@ -95,12 +112,14 @@ def test_comment_shift_relocates_byte_identical(name):
 
 
 def test_multi_edit_session_stays_byte_identical():
-    """Successive edits against one session, mixing tiers."""
+    """Successive served edits alternating body edits (cold) and line
+    shifts (relocated from the latest anchor)."""
     source = load_source("figure1")
     options = AnalyzeOptions()
-    session = _session(source, options)
+    cache = _cache()
+    assert _served(cache, source, options) == "analyzed"
     current = source
-    tiers = []
+    origins = []
     for step in range(4):
         if step % 2 == 0:
             lines = current.split("\n")
@@ -112,32 +131,27 @@ def test_multi_edit_session_stays_byte_identical():
             current = "\n".join(lines)
         else:
             current = f"// session step {step}\n" + current
-        outcome = session.apply_edit(current)
-        tiers.append(outcome.tier)
-        assert outcome.payload == _cold_payload(current, options), (
-            f"step {step} ({outcome.tier}) diverged"
-        )
-    assert "relocate" in tiers  # the comment steps shift only lines
+        origins.append(_served(cache, current, options))
+    assert origins == ["analyzed", "incremental", "analyzed", "incremental"]
 
 
 def test_relocate_then_dirty_edit_uses_fresh_coordinates():
-    """Regression: a relocate-tier edit must shift the in-memory graph
-    too, or the next dirty edit relocates stale positions (found by the
-    edit-session fuzzer as an LINE/LKEY byte mismatch)."""
+    """After a relocated shift and a cold body edit, the next shift is
+    relocated from the body edit's artifact, not the older anchor."""
     source = load_source("figure1")
     options = AnalyzeOptions()
-    session = _session(source, options)
+    cache = _cache()
+    assert _served(cache, source, options) == "analyzed"
     shifted = "// shift one\n// shift two\n" + source
-    assert session.apply_edit(shifted).tier == "relocate"
+    assert _served(cache, shifted, options) == "incremental"
     edited = _insert_stmt(shifted)
-    outcome = session.apply_edit(edited)
-    assert outcome.tier in ("delta", "resolve")
-    assert outcome.payload == _cold_payload(edited, options)
+    assert _served(cache, edited, options) == "analyzed"
+    assert _served(cache, "// shift three\n" + edited, options) == "incremental"
 
 
 def test_call_graph_shape_edit_is_byte_identical():
     """Duplicating a call statement adds a call site (new call-graph
-    edges) — the warm-start prefix rule must still reproduce cold."""
+    edges) — the edit declines and is served cold."""
     candidates = []
     for name in program_names():
         source = load_source(name)
@@ -164,12 +178,12 @@ def test_call_graph_shape_edit_is_byte_identical():
         lines.insert(line_index, lines[line_index])
         edited = "\n".join(lines)
         try:
-            cold = _cold_payload(edited, options)
+            _cold_payload(edited, options)
         except Exception:
             continue  # duplication happened to be invalid here
-        session = _session(source, options)
-        outcome = session.apply_edit(edited)
-        assert outcome.payload == cold, (name, outcome.tier)
+        cache = _cache()
+        assert _served(cache, source, options) == "analyzed"
+        assert _served(cache, edited, options) == "analyzed"
         checked += 1
     assert checked >= 1
 
@@ -177,6 +191,13 @@ def test_call_graph_shape_edit_is_byte_identical():
 # ---------------------------------------------------------------------------
 # Declines: out-of-scope edits fall back to cold, session intact
 # ---------------------------------------------------------------------------
+
+
+def _still_relocates(session: IncrementalSession, source: str) -> None:
+    options = AnalyzeOptions()
+    shifted = "// still warm\n" + source
+    outcome = session.apply_edit(shifted)
+    assert outcome.payload == _cold_payload(shifted, options)
 
 
 def test_signature_change_declines_structure():
@@ -188,26 +209,24 @@ def test_signature_change_declines_structure():
     with pytest.raises(DeclinedError) as info:
         session.apply_edit(edited)
     assert info.value.reason == "structure-changed"
-    assert not session.dead
+    _still_relocates(session, source)
 
 
 def test_parse_error_edit_declines_and_session_survives():
     source = load_source("figure1")
-    options = AnalyzeOptions()
-    session = _session(source, options)
+    session = _session(source, AnalyzeOptions())
     spans = _method_spans(source)
     lines = source.split("\n")
     lines.insert(spans[0].end_line - 1, "        String broken = ;")
     with pytest.raises(DeclinedError):
         session.apply_edit("\n".join(lines))
-    assert not session.dead
-    # The session still serves valid edits afterwards.
-    edited = _insert_stmt(source)
-    outcome = session.apply_edit(edited)
-    assert outcome.payload == _cold_payload(edited, options)
+    # The session still serves line shifts afterwards.
+    _still_relocates(session, source)
 
 
 def test_type_error_edit_declines_frontend():
+    """A type error inside a body declines before any frontend runs;
+    the cold path reports the diagnostic."""
     source = load_source("figure1")
     session = _session(source, AnalyzeOptions())
     spans = _method_spans(source)
@@ -215,8 +234,8 @@ def test_type_error_edit_declines_frontend():
     lines.insert(spans[0].end_line - 1, "        String dup = undefined_x;")
     with pytest.raises(DeclinedError) as info:
         session.apply_edit("\n".join(lines))
-    assert info.value.reason == "frontend-error"
-    assert not session.dead
+    assert info.value.reason == "method-changed"
+    _still_relocates(session, source)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +244,7 @@ def test_type_error_edit_declines_frontend():
 
 
 def test_cache_serves_edits_incrementally(tmp_path):
-    from repro.server.cache import AnalysisCache
-    from repro.server.fragments import FragmentStore
-    from repro.server.store import DiskStore
-
-    cache = AnalysisCache(
-        store=DiskStore(tmp_path), fragments=FragmentStore()
-    )
+    cache = _cache(tmp_path)
     source = load_source("figure1")
     options = AnalyzeOptions()
 
@@ -240,17 +253,21 @@ def test_cache_serves_edits_incrementally(tmp_path):
     _, origin = cache.get_entry(source, "fig1.mj", options)
     assert origin == "memory"
 
-    edited = _insert_stmt(source)
-    entry, origin = cache.get_entry(edited, "fig1.mj", options)
+    shifted = "// moved\n" + source
+    entry, origin = cache.get_entry(shifted, "fig1.mj", options)
     assert origin == "incremental"
     assert bytes(entry.view._buffer) == _cold_payload(
-        edited, options, filename="fig1.mj"
+        shifted, options, filename="fig1.mj"
     )
 
     # The incremental result was promoted to both cache tiers.
-    _, origin = cache.get_entry(edited, "fig1.mj", options)
+    _, origin = cache.get_entry(shifted, "fig1.mj", options)
     assert origin == "memory"
 
+    # A body edit is analyzed cold and anchors the next shift.
+    edited = _insert_stmt(shifted)
+    _, origin = cache.get_entry(edited, "fig1.mj", options)
+    assert origin == "analyzed"
     edited2 = "// another\n" + edited
     _, origin = cache.get_entry(edited2, "fig1.mj", options)
     assert origin == "incremental"
@@ -259,19 +276,15 @@ def test_cache_serves_edits_incrementally(tmp_path):
     assert stats["incremental_hits"] == 2
     frags = stats["fragments"]
     assert frags["incremental_hits"] == 2
-    assert frags["sessions_seeded"] == 1
+    assert frags["sessions_seeded"] == 2
     assert frags["functions_reused"] >= 1
-    assert sum(frags["tiers"].values()) == 2
+    assert frags["functions_reanalyzed"] == 0
+    assert frags["tiers"] == {"relocate": 2}
+    assert frags["declines"] == {"method-changed": 1, "no-session": 1}
 
 
 def test_structure_changed_edit_falls_back_to_cold(tmp_path):
-    from repro.server.cache import AnalysisCache
-    from repro.server.fragments import FragmentStore
-    from repro.server.store import DiskStore
-
-    cache = AnalysisCache(
-        store=DiskStore(tmp_path), fragments=FragmentStore()
-    )
+    cache = _cache(tmp_path)
     source = load_source("figure2")
     options = AnalyzeOptions()
     cache.get_entry(source, "fig2.mj", options)
@@ -291,7 +304,7 @@ def test_daemon_health_reports_incremental_counters():
     server = make_server(None)
     try:
         source = load_source("figure1")
-        for text in (source, _insert_stmt(source)):
+        for text in (source, "// shifted\n" + source):
             response = json.loads(
                 server.handle_line(
                     json.dumps(
@@ -309,7 +322,7 @@ def test_daemon_health_reports_incremental_counters():
         )["result"]
         assert health["incremental_hits"] == 1
         assert health["functions_reused"] >= 1
-        assert health["functions_reanalyzed"] >= 1
+        assert health["functions_reanalyzed"] == 0
         assert health["fragments"]["sessions"] == 1
     finally:
         server.close()

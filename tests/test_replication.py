@@ -34,6 +34,7 @@ from repro.server.cache import AnalysisCache
 from repro.server.client import ServerError, SliceClient
 from repro.server.daemon import start_tcp_server
 from repro.server.faults import FaultPlan
+from repro.incremental import split_units
 from repro.server.fragments import FragmentStore
 from repro.server.replication import (
     Replicator,
@@ -553,8 +554,6 @@ class TestHedging:
 
 
 def _insert_stmt(source: str) -> str:
-    from repro.incremental import split_units
-
     spans = [
         u
         for u in split_units(source).units
@@ -592,7 +591,7 @@ class TestCheckpointResume:
                 checkpoint_dir=store_root / "sessions"
             ),
         )
-        edited = _insert_stmt(source)
+        edited = "// resumed\n" + source
         entry, origin = cache2.get_entry(edited, "fig1.mj", options)
         assert origin == "incremental"
         frags = cache2.fragments.stats()
@@ -620,10 +619,17 @@ class TestCheckpointResume:
         )
         cache1.get_entry(source, "fig1.mj", options)
         edited = _insert_stmt(source)
-        _, origin = cache1.get_entry(edited, "fig1.mj", options)
-        assert origin == "incremental"
-        # The edit wrote a sidecar for ITS structure (new lineage key),
-        # anchored at the edited artifact.
+        entry, origin = cache1.get_entry(edited, "fig1.mj", options)
+        # A body edit is analyzed cold, and its result becomes the
+        # anchor: the sidecar for its structure points at it.
+        assert origin == "analyzed"
+        from repro import analyze
+        from repro.artifact.encode import encode_artifact
+
+        assert bytes(entry.view._buffer) == encode_artifact(
+            analyze(edited, "fig1.mj", options=options),
+            key=content_key(edited, options),
+        )
         recorded = [
             json.loads(p.read_text())
             for p in (store_root / "sessions").glob("*.json")
@@ -650,10 +656,61 @@ class TestCheckpointResume:
                 checkpoint_dir=store_root / "sessions"
             ),
         )
-        edited = _insert_stmt(source)
+        edited = "// shifted\n" + source
         _, origin = cache2.get_entry(edited, "fig1.mj", options)
         assert origin == "analyzed"
         assert cache2.fragments.sessions_restored == 0
+
+    def test_concurrent_checkpoints_never_tear_the_sidecar(self, tmp_path):
+        """Two writers advancing one lineage while a reader polls: every
+        write lands whole and every read parses."""
+        source = load_source("figure1")
+        options = AnalyzeOptions()
+        store = FragmentStore(checkpoint_dir=tmp_path / "sessions")
+        shape = split_units(source)
+        slot_key = (shape.structure_fingerprint, options.cache_token())
+        path = store._checkpoint_path(slot_key)
+        writes = 300
+        done = threading.Event()
+        torn: list[str] = []
+
+        def write(tag: str) -> None:
+            for i in range(writes):
+                store._checkpoint(slot_key, f"{tag}{i}", source, "fig1.mj")
+
+        def read() -> None:
+            while not done.is_set():
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except FileNotFoundError:
+                    continue
+                try:
+                    json.loads(text)
+                except ValueError:
+                    torn.append(text)
+
+        writers = [
+            threading.Thread(target=write, args=(tag,)) for tag in "ab"
+        ]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [reader])
+        assert store.checkpoint_errors == 0
+        assert store.checkpoints_written == 2 * writes
+        assert not torn
+        assert json.loads(path.read_text())["key"] in ("a299", "b299")
+        assert not list((tmp_path / "sessions").glob("*.tmp"))
 
     def test_no_checkpoint_dir_means_no_sidecars(self, tmp_path):
         cache = AnalysisCache(

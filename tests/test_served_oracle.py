@@ -275,3 +275,47 @@ class TestNeverMaterializes:
                 self._serve_all(restarted, "disk")
             finally:
                 restarted.close()
+
+    def test_edit_lineage_never_materializes(self, monkeypatch):
+        """Serving an edit lineage builds no rich program: a body edit
+        is analyzed cold and anchors the next line shift, which is
+        relocated from its bytes."""
+        from repro import AnalyzeOptions
+        from repro.artifact import content_key, encode_artifact
+        from repro.incremental import split_units
+
+        calls = []
+
+        def refuse(view):
+            calls.append(view)
+            raise AssertionError("serving tier materialized an AnalyzedProgram")
+
+        monkeypatch.setattr(ArtifactView, "to_analyzed_program", refuse)
+        source = load_source("figure2")
+        unit = next(
+            u
+            for u in split_units(source).units
+            if u.kind == "method" and u.end_line > u.start_line
+        )
+        lines = source.split("\n")
+        lines.insert(unit.end_line - 1, '        String __e = "edit";')
+        inserted = "\n".join(lines)
+        lineage = [source, inserted, "// shifted\n" + inserted]
+        options = AnalyzeOptions()
+        server = SliceServer(AnalysisCache(), executor="thread")
+        try:
+            origins = []
+            for text in lineage:
+                origins.append(
+                    rpc(server, "stats", source=text, filename="f2.mj")["origin"]
+                )
+                entry, _ = server.cache.get_entry(text, "f2.mj", options)
+                cold = encode_artifact(
+                    analyze(text, "f2.mj", options=options),
+                    key=content_key(text, options),
+                )
+                assert bytes(entry.view._buffer) == cold
+        finally:
+            server.close()
+        assert not calls
+        assert origins == ["analyzed", "analyzed", "incremental"]
