@@ -70,7 +70,15 @@ def _timed(thunk) -> float:
     return (time.perf_counter() - start) * 1000
 
 
-def test_incremental_trajectory(results_dir):
+@pytest.fixture(scope="module")
+def env() -> dict:
+    """Where this module's results were measured, taken once before
+    any test rewrites the tracked results files (which would mark the
+    checkout dirty)."""
+    return environment()
+
+
+def test_incremental_trajectory(results_dir, env):
     from repro.artifact import ArtifactView
     from repro.suite.loader import load_source
 
@@ -149,7 +157,7 @@ def test_incremental_trajectory(results_dir):
             "cpu_count": cpu_count,
             "thresholds_enforced": thresholds_enforced,
             "byte_identity_checked": True,
-            "environment": environment(),
+            "environment": env,
         },
     )
 
@@ -182,7 +190,7 @@ def _update_results(results_dir, section: dict) -> None:
 
 
 @pytest.mark.perf
-def test_served_edit_lineages(results_dir):
+def test_served_edit_lineages(results_dir, env):
     """Edit lineages served end to end by an in-process slice server.
 
     Each lineage submits its base program (a cold analysis, not timed)
@@ -255,7 +263,7 @@ def test_served_edit_lineages(results_dir):
         "origins": dict(sorted(origins.items())),
         "errors": errors,
         "incremental_byte_identical": len(served),
-        "environment": environment(),
+        "environment": env,
     }
     print(json.dumps(point, indent=2, sort_keys=True))
     _update_results(results_dir, {"served_lineages": point})
