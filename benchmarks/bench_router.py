@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from _util import emit, environment, format_table
 from repro.lang.source import marker_line
 from repro.server.client import SliceClient
-from repro.server.router import Router
+from repro.server.router import start_router
 from repro.server.shardpool import ShardPool
 from repro.suite.loader import load_source
 
@@ -105,10 +105,8 @@ def _measure_routed(shards: int, sources) -> dict:
     router = None
     try:
         pool.spawn_local(shards, SERVE_ARGS)
-        router = Router(pool, max_inflight=CLIENTS * 2)
-        pool.probe_all()
-        pool.start_probing()
-        host, port = router.start()
+        router = start_router(pool, max_inflight=CLIENTS * 2)
+        host, port = router.address
         measured = _drive(host, port, sources)
         measured["failovers"] = router.failover_total
         return measured

@@ -607,19 +607,17 @@ def _run_router(
     ``hedge_delay``: None = adaptive (p95 of observed forwards), 0 =
     hedging off, positive = fixed hedge delay in seconds.
     """
-    from repro.server.router import Router
+    from repro.server.router import start_router
 
-    router = Router(
+    router = start_router(
         pool,
+        host,
+        port,
         replicas=replicas,
         max_inflight=max_inflight,
         max_queue=max_queue,
-        hedge=hedge_delay is None or hedge_delay > 0,
-        hedge_delay_s=hedge_delay if hedge_delay else None,
+        hedge_delay_s=hedge_delay,
     )
-    pool.probe_all()
-    pool.start_probing()
-    router.start(host, port)
     try:
         router.join()
     except KeyboardInterrupt:

@@ -26,8 +26,9 @@ package turns the library into a service:
 * :mod:`repro.server.ring` / :mod:`repro.server.shardpool` /
   :mod:`repro.server.router` — the sharded serving tier: a consistent
   hash ring over ``source_fingerprint``, shard lifecycle (spawn,
-  probe, drain), and an asyncio frontend that speaks the same protocol
-  while routing each request to the shard whose cache owns it.
+  probe, drain), and a router served by the daemon's TCP loop that
+  speaks the same protocol while routing each request to the shard
+  whose cache owns it.
 
 Quickstart::
 

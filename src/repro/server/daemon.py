@@ -315,16 +315,8 @@ class SliceServer:
         self, line: str, client_alive: Callable[[], bool] | None = None
     ) -> str:
         """One request line in, one response line out.  Never raises."""
-        if len(line) > MAX_LINE_BYTES:
-            return encode_message(
-                error_response(
-                    None,
-                    "Protocol",
-                    f"request line exceeds {MAX_LINE_BYTES} bytes",
-                )
-            )
         try:
-            request = decode_message(line)
+            request = decode_request_line(line)
         except ProtocolError as exc:
             return encode_message(error_response(None, "Protocol", str(exc)))
         return encode_message(self.handle_request(request, client_alive))
@@ -1163,12 +1155,36 @@ class SliceServer:
 # ----------------------------------------------------------------------
 
 
+def _oversize_message() -> str:
+    return f"request line exceeds {MAX_LINE_BYTES} bytes"
+
+
 def _oversize_response() -> str:
-    return encode_message(
-        error_response(
-            None, "Protocol", f"request line exceeds {MAX_LINE_BYTES} bytes"
-        )
-    )
+    return encode_message(error_response(None, "Protocol", _oversize_message()))
+
+
+def decode_request_line(line: str) -> dict[str, Any]:
+    """Decode one request line; :class:`ProtocolError` if it is longer
+    than :data:`MAX_LINE_BYTES` or not a valid request."""
+    if len(line) > MAX_LINE_BYTES:
+        raise ProtocolError(_oversize_message())
+    return decode_message(line)
+
+
+def _read_line(readline: Callable[[int], Any]) -> Any:
+    """One line through ``readline(limit)`` (text or bytes), capped at
+    :data:`MAX_LINE_BYTES`: the line, empty at EOF, or None for an
+    oversized line.  An oversized line is not buffered: its rest is
+    discarded through the next newline, so framing recovers and the
+    stream stays usable."""
+    line = readline(MAX_LINE_BYTES + 1)
+    newline = b"\n" if isinstance(line, bytes) else "\n"
+    if len(line) <= MAX_LINE_BYTES or line.endswith(newline):
+        return line
+    while True:
+        rest = readline(MAX_LINE_BYTES)
+        if not rest or rest.endswith(newline):
+            return None
 
 
 def serve_stdio(
@@ -1176,19 +1192,13 @@ def serve_stdio(
 ) -> None:
     """Answer newline-delimited requests until EOF or shutdown."""
     while True:
-        line = in_stream.readline(MAX_LINE_BYTES + 1)
-        if not line:
-            break
-        if len(line) > MAX_LINE_BYTES and not line.endswith("\n"):
-            # Oversized: reject without buffering, then discard the rest
-            # of the line so framing recovers at the next newline.
-            while True:
-                rest = in_stream.readline(MAX_LINE_BYTES)
-                if not rest or rest.endswith("\n"):
-                    break
+        line = _read_line(in_stream.readline)
+        if line is None:
             out_stream.write(_oversize_response() + "\n")
             out_stream.flush()
             continue
+        if not line:
+            break
         if not line.strip():
             continue
         out_stream.write(server.handle_line(line) + "\n")
@@ -1200,31 +1210,23 @@ def serve_stdio(
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        slice_server: SliceServer = self.server.slice_server  # type: ignore[attr-defined]
-        plan = slice_server.fault_plan
+        handler = self.server.handler  # type: ignore[attr-defined]
+        plan = handler.fault_plan
         try:
             while True:
-                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-                if not raw:
-                    break
-                if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                    # Oversized: reject without buffering, then discard
-                    # the rest of the line so framing recovers at the
-                    # next newline — the connection stays usable, same
-                    # as the stdio loop.
-                    while True:
-                        rest = self.rfile.readline(MAX_LINE_BYTES)
-                        if not rest or rest.endswith(b"\n"):
-                            break
+                raw = _read_line(self.rfile.readline)
+                if raw is None:
                     self.wfile.write(
                         (_oversize_response() + "\n").encode("utf-8")
                     )
                     self.wfile.flush()
                     continue
+                if not raw:
+                    break
                 line = raw.decode("utf-8", errors="replace")
                 if not line.strip():
                     continue
-                response = slice_server.handle_line(
+                response = handler.handle_line(
                     line, client_alive=self._client_alive
                 )
                 if plan is not None and plan.drop_connection():
@@ -1234,7 +1236,7 @@ class _LineHandler(socketserver.StreamRequestHandler):
                     return
                 self.wfile.write((response + "\n").encode("utf-8"))
                 self.wfile.flush()
-                if slice_server.shutting_down:
+                if handler.shutting_down:
                     # shutdown() must not run on this handler thread.
                     threading.Thread(
                         target=self.server.shutdown, daemon=True
@@ -1263,18 +1265,22 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, slice_server: SliceServer) -> None:
+    def __init__(self, address, handler: Any) -> None:
         super().__init__(address, _LineHandler)
-        self.slice_server = slice_server
+        self.handler = handler
 
 
 def start_tcp_server(
-    server: SliceServer, host: str = "127.0.0.1", port: int = 0
+    server: Any, host: str = "127.0.0.1", port: int = 0
 ) -> tuple[_TCPServer, threading.Thread]:
     """Bind and serve on a background thread; returns (tcp_server, thread).
 
-    ``port=0`` binds an ephemeral port — read it back from
-    ``tcp_server.server_address``.
+    This is the package's one TCP line loop: one thread per connection.
+    ``server`` is a :class:`SliceServer` or a
+    :class:`~repro.server.router.Router` — anything with
+    ``handle_line(line, client_alive)``, ``fault_plan`` and
+    ``shutting_down``.  ``port=0`` binds an ephemeral port — read it
+    back from ``tcp_server.server_address``.
     """
     tcp_server = _TCPServer((host, port), server)
     thread = threading.Thread(

@@ -1,4 +1,4 @@
-"""The sharded serving tier's frontend: an asyncio router.
+"""The sharded serving tier's frontend: a threaded router.
 
 One endpoint, N daemons.  The router speaks the existing JSON-lines
 protocol *unchanged* — clients (including ``SliceClient`` and every
@@ -10,17 +10,17 @@ everything.
 
 Architecture:
 
-* **Connection holding** — the frontend is a single-threaded asyncio
-  loop; an idle connection costs one parked coroutine, so thousands of
-  editor sessions can stay connected for the price of their sockets.
-  ``ping``/``health`` are answered inline on the loop (they must stay
-  responsive when every forwarding slot is busy, mirroring the
-  daemon's introspection fast path).
-* **Forwarding** — request bodies are handled on a bounded thread pool
-  (``max_inflight``); beyond ``max_inflight + max_queue`` concurrently
-  admitted requests the router sheds load with the same structured
-  ``Overloaded`` error the daemon uses, so client backoff machinery
-  works identically end to end.
+* **Serving** — the router is served by the daemon's own TCP loop
+  (:func:`repro.server.daemon.start_tcp_server`): one thread per
+  connection, the same line cap and oversize recovery.  Each request
+  is forwarded on its connection's thread; there is no second hop.
+* **Admission** — at most ``max_inflight`` forwards reach the shards
+  at once and up to ``max_queue`` more wait for a slot; beyond that
+  the router sheds load with the same structured ``Overloaded`` error
+  the daemon uses, so client backoff machinery works identically end
+  to end.  ``ping``/``health``/``shutdown``, aggregate ``stats`` and
+  ``rolling_restart`` bypass admission: the tier stays observable
+  however wedged the shards are.
 * **Routing** — the routing key is the request's
   :func:`repro.frontend.source_fingerprint` (the same digest the
   shards' cache keys are built from).  Requests whose key cannot be
@@ -49,8 +49,6 @@ Architecture:
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import json
 import logging
 import threading
@@ -59,17 +57,16 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import wait as futures_wait
-from typing import Any
+from typing import Any, Callable
 
 from repro import __version__
 from repro.frontend import source_fingerprint
 from repro.server.client import RETRYABLE, ServerError
-from repro.server.daemon import MAX_LINE_BYTES, MethodStats
+from repro.server.daemon import MethodStats, decode_request_line, start_tcp_server
 from repro.server.faults import FaultPlan
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
-    decode_message,
     encode_message,
     error_response,
     ok_response,
@@ -95,15 +92,6 @@ ROUTER_METHODS = frozenset(
         "rolling_restart",
     }
 )
-
-#: Methods answered inline on the event loop — they must stay
-#: responsive even when every forwarding slot is busy.
-_INTROSPECTION = frozenset({"ping", "health", "shutdown"})
-
-#: Above this size a request line is not pre-parsed on the event loop;
-#: it goes straight to a worker thread (only the shed path ever parses
-#: big lines on the loop, to echo the request id).
-_INLINE_PARSE_BYTES = 64 * 1024
 
 #: Default cap on concurrently forwarded requests.
 DEFAULT_MAX_INFLIGHT = 16
@@ -132,8 +120,6 @@ class Router:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         fault_plan: FaultPlan | None = None,
-        line_limit: int = MAX_LINE_BYTES,
-        hedge: bool = True,
         hedge_delay_s: float | None = None,
     ) -> None:
         self.pool = pool
@@ -141,20 +127,21 @@ class Router:
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.fault_plan = fault_plan
-        self.line_limit = line_limit
         #: Hedged requests: after a quantile-based delay, a slow keyed
         #: ``slice`` is re-issued to the key's first replica and the
         #: first answer wins (byte-identity across shards makes racing
-        #: them safe).  ``hedge_delay_s`` pins the delay (tests, CLI);
-        #: None adapts to the observed p95 once enough samples exist.
-        self.hedge = hedge
+        #: them safe).  ``hedge_delay_s``: None adapts to the observed
+        #: p95 once enough samples exist, 0 (or less) disables hedging,
+        #: a positive value pins the delay.
         self.hedge_delay_s = hedge_delay_s
         self.started = time.time()
         self.shutting_down = False
         self.address: tuple[str, int] | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_inflight, thread_name_prefix="repro-route"
-        )
+        # Admission: ``_inflight`` counts admitted forwards (shed past
+        # ``max_inflight + max_queue``); ``_slots`` lets at most
+        # ``max_inflight`` of them reach the shards at once.
+        self._inflight = 0
+        self._slots = threading.BoundedSemaphore(max_inflight)
         # Hedge attempts run on their own pool: a hedge losing the race
         # stays blocked on its shard until that call returns, and those
         # parked threads must not eat forwarding slots.
@@ -172,29 +159,24 @@ class Router:
         self.hedge_wins = 0
         self.read_repairs = 0
         self.deadline_expired_total = 0
-        # Event-loop plumbing (populated by start()).
-        self._loop: asyncio.AbstractEventLoop | None = None
+        # The TCP server and its accept thread (populated by start()).
+        self._tcp: Any = None
         self._thread: threading.Thread | None = None
-        self._stop_async: asyncio.Event | None = None
-        self._start_error: BaseException | None = None
-        self._inflight = 0  # touched only on the event loop thread
 
     # ------------------------------------------------------------------
-    # Sync request core (runs on forwarding threads; also the test seam)
+    # Request core (runs on connection threads; also the test seam)
     # ------------------------------------------------------------------
 
-    def handle_line(self, line: str) -> str:
-        """One request line in, one response line out.  Never raises."""
-        if len(line) > self.line_limit:
-            return encode_message(
-                error_response(
-                    None,
-                    "Protocol",
-                    f"request line exceeds {self.line_limit} bytes",
-                )
-            )
+    def handle_line(
+        self, line: str, client_alive: Callable[[], bool] | None = None
+    ) -> str:
+        """One request line in, one response line out.  Never raises.
+
+        ``client_alive`` is the serving loop's hook and is ignored: a
+        forward is not cancelled when its client goes away.
+        """
         try:
-            request = decode_message(line)
+            request = decode_request_line(line)
         except ProtocolError as exc:
             return encode_message(error_response(None, "Protocol", str(exc)))
         return encode_message(self.handle_request(request))
@@ -227,18 +209,42 @@ class Router:
                 response = ok_response(
                     request_id, self._rolling_restart(params)
                 )
-            elif method == "slice_batch":
-                response = self._route_batch(params, request_id)
             else:
-                response = self._forward(
-                    method, params, self._routing_key(params), request_id
-                )
+                response = self._admitted(method, params, request_id)
         except Exception as exc:  # isolation: the router never dies on a query
             response = error_response(request_id, type(exc).__name__, str(exc))
         self._record(
             method, (time.perf_counter() - start) * 1000, response["ok"]
         )
         return response
+
+    def _admitted(
+        self, method: str, params: dict[str, Any], request_id: Any
+    ) -> dict[str, Any]:
+        """Forward under admission control.  Past ``max_inflight +
+        max_queue`` admitted forwards the request is shed with the
+        daemon's ``Overloaded`` error; admitted requests wait for one
+        of ``max_inflight`` forwarding slots."""
+        with self._stats_lock:
+            if self._inflight >= self.max_inflight + self.max_queue:
+                self.shed_total += 1
+                return error_response(
+                    request_id,
+                    "Overloaded",
+                    f"router at capacity ({self.max_inflight} in flight, "
+                    f"{self.max_queue} queued); retry with backoff",
+                )
+            self._inflight += 1
+        try:
+            with self._slots:
+                if method == "slice_batch":
+                    return self._route_batch(params, request_id)
+                return self._forward(
+                    method, params, self._routing_key(params), request_id
+                )
+        finally:
+            with self._stats_lock:
+                self._inflight -= 1
 
     # ------------------------------------------------------------------
     # Routing
@@ -327,16 +333,15 @@ class Router:
         return "ok", result
 
     def _hedge_delay(self) -> float | None:
-        """Seconds to wait before hedging, or None (not enough signal).
+        """Seconds to wait before hedging, or None (hedging off, or not
+        enough signal).
 
-        A fixed ``hedge_delay_s`` always wins; otherwise the observed
+        A set ``hedge_delay_s`` always wins; otherwise the observed
         p95 of successful keyed forwards, floored at 50 ms, once at
         least :data:`_HEDGE_MIN_SAMPLES` samples exist.
         """
-        if not self.hedge:
-            return None
         if self.hedge_delay_s is not None:
-            return self.hedge_delay_s
+            return self.hedge_delay_s if self.hedge_delay_s > 0 else None
         with self._stats_lock:
             if len(self._latencies) < _HEDGE_MIN_SAMPLES:
                 return None
@@ -795,44 +800,34 @@ class Router:
     def stop(self) -> None:
         """Stop accepting connections and drain the shard pool."""
         self.shutting_down = True
-        if self._loop is not None and self._stop_async is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop_async.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        if self._tcp is not None:
+            self._tcp.shutdown()
+            self._tcp.server_close()
         self.pool.stop()
-        self._executor.shutdown(wait=False, cancel_futures=True)
         self._hedge_executor.shutdown(wait=False, cancel_futures=True)
 
     def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
-        """Serve on a background event-loop thread; returns the bound
+        """Serve on the daemon's threaded TCP loop; returns the bound
         ``(host, port)`` (``port=0`` binds an ephemeral port)."""
         if self._thread is not None:
             raise RuntimeError("router already started")
-        started = threading.Event()
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self._serve_async(host, port, started))
-            except BaseException as exc:  # bind failures land here
-                self._start_error = exc
-                started.set()
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-router", daemon=True
+        self._tcp, self._thread = start_tcp_server(self, host, port)
+        bound_host, bound_port = self._tcp.server_address[:2]
+        self.address = (bound_host, bound_port)
+        logger.info(
+            "%s",
+            json.dumps(
+                {
+                    "event": "listening",
+                    "role": "router",
+                    "host": bound_host,
+                    "port": bound_port,
+                },
+                sort_keys=True,
+            ),
         )
-        self._thread.start()
-        started.wait(timeout=30)
-        if self._start_error is not None:
-            raise self._start_error
-        assert self.address is not None
         return self.address
 
     def join(self) -> None:
@@ -840,141 +835,6 @@ class Router:
         if self._thread is not None:
             while self._thread.is_alive():
                 self._thread.join(timeout=0.5)
-
-    async def _serve_async(
-        self, host: str, port: int, started: threading.Event
-    ) -> None:
-        self._stop_async = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_conn, host, port, limit=self.line_limit + 2
-        )
-        sockname = server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        logger.info(
-            "%s",
-            json.dumps(
-                {
-                    "event": "listening",
-                    "role": "router",
-                    "host": self.address[0],
-                    "port": self.address[1],
-                },
-                sort_keys=True,
-            ),
-        )
-        started.set()
-        async with server:
-            await self._stop_async.wait()
-
-    async def _read_frame(
-        self, reader: asyncio.StreamReader
-    ) -> bytes | None:
-        """One newline-terminated frame; ``b""`` for an oversized line
-        (discarded exactly through its newline, so pipelined requests
-        behind it survive); ``None`` at EOF.
-
-        Built on ``readuntil`` rather than ``readline`` because on
-        overrun ``readuntil`` leaves the buffer intact (``readline``
-        clears it, losing any already-buffered follow-up requests).
-        """
-        try:
-            return await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            # EOF; a trailing unterminated fragment is not a request.
-            return exc.partial or None
-        except asyncio.LimitOverrunError as exc:
-            await reader.readexactly(exc.consumed)
-            while True:
-                try:
-                    await reader.readuntil(b"\n")
-                    return b""
-                except asyncio.LimitOverrunError as more:
-                    await reader.readexactly(more.consumed)
-                except asyncio.IncompleteReadError:
-                    return None
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while not self.shutting_down:
-                raw = await self._read_frame(reader)
-                if raw is None:
-                    break
-                if raw == b"":
-                    # Oversized line: a structured Protocol error, and
-                    # framing has already recovered at its newline —
-                    # same contract as the daemon's serving loops.
-                    writer.write(
-                        (self._oversize_response() + "\n").encode("utf-8")
-                    )
-                    await writer.drain()
-                    continue
-                line = raw.decode("utf-8", errors="replace")
-                if not line.strip():
-                    continue
-                response = await self._dispatch(line)
-                writer.write((response + "\n").encode("utf-8"))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    def _oversize_response(self) -> str:
-        return encode_message(
-            error_response(
-                None,
-                "Protocol",
-                f"request line exceeds {self.line_limit} bytes",
-            )
-        )
-
-    async def _dispatch(self, line: str) -> str:
-        """Admission + introspection fast path, on the event loop."""
-        request: dict[str, Any] | None = None
-        if len(line) <= _INLINE_PARSE_BYTES:
-            try:
-                request = decode_message(line)
-            except ProtocolError as exc:
-                return encode_message(error_response(None, "Protocol", str(exc)))
-        if request is not None and request.get("method") in _INTROSPECTION:
-            # Never queued behind forwards: health checks must answer
-            # even when every forwarding slot is wedged.
-            return encode_message(self.handle_request(request))
-        if self._inflight >= self.max_inflight + self.max_queue:
-            if request is None:
-                try:
-                    request = decode_message(line)
-                except ProtocolError as exc:
-                    return encode_message(
-                        error_response(None, "Protocol", str(exc))
-                    )
-            with self._stats_lock:
-                self.shed_total += 1
-            return encode_message(
-                error_response(
-                    request.get("id"),
-                    "Overloaded",
-                    f"router at capacity ({self.max_inflight} in flight, "
-                    f"{self.max_queue} queued); retry with backoff",
-                )
-            )
-        self._inflight += 1
-        loop = asyncio.get_running_loop()
-        try:
-            if request is not None:
-                return await loop.run_in_executor(
-                    self._executor,
-                    lambda: encode_message(self.handle_request(request)),
-                )
-            return await loop.run_in_executor(
-                self._executor, self.handle_line, line
-            )
-        finally:
-            self._inflight -= 1
 
 
 def start_router(

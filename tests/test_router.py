@@ -11,7 +11,9 @@ processes, because only a killable process proves the failover story.
 from __future__ import annotations
 
 import json
+import logging
 import socket
+import sys
 import threading
 import time
 
@@ -392,8 +394,64 @@ class TestFailover:
         assert "sdg_statements" in payload
 
 
+class TestAdmission:
+    def test_concurrent_forwards_respect_capacity(self):
+        tier = Tier(shards=1, max_inflight=2, max_queue=2)
+        (address,) = tier.backends
+        shard = tier.pool.shard(address)
+        original = shard.call
+        lock = threading.Lock()
+        active = [0]
+        peak = [0]
+
+        def counting(method, params):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                time.sleep(0.002)
+                return original(method, params)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        shard.call = counting
+        source = load_source("figure2")
+        line = seed_line("figure2", "seed")
+        assert route(tier.router, "slice", source=source, line=line)["ok"]
+        responses = []
+
+        def client():
+            for index in range(20):
+                responses.append(
+                    route(tier.router, "slice", index, source=source, line=line)
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            tier.close()
+        shed = [r for r in responses if not r["ok"]]
+        assert len(responses) == 160
+        assert all(r["error"]["type"] == "Overloaded" for r in shed)
+        # Every admission decision is counted once, and every admitted
+        # forward released its place.
+        assert tier.router.shed_total == len(shed)
+        assert tier.router.forwarded_total == 1 + 160 - len(shed)
+        assert tier.router._inflight == 0
+        assert 1 <= peak[0] <= 2
+
+
 # ----------------------------------------------------------------------
-# The asyncio frontend (TCP)
+# The TCP frontend (the daemon's threaded line loop serving the router)
 # ----------------------------------------------------------------------
 
 
@@ -412,8 +470,13 @@ class TestAsyncFrontend:
             assert err.value.endpoint in tier.backends
             assert err.value.endpoint != f"{host}:{port}"
 
-    def test_oversized_line_answered_and_connection_survives(self):
-        tier = Tier(shards=1, line_limit=4096)
+    def test_oversized_line_answered_and_connection_survives(
+        self, monkeypatch
+    ):
+        import repro.server.daemon as daemon_mod
+
+        monkeypatch.setattr(daemon_mod, "MAX_LINE_BYTES", 4096)
+        tier = Tier(shards=1)
         try:
             host, port = tier.router.start()
             with socket.create_connection((host, port), timeout=10) as sock:
@@ -478,6 +541,57 @@ class TestAsyncFrontend:
                 assert client.health()["role"] == "router"
         finally:
             tier.close()
+
+    def test_introspection_answers_while_a_forward_holds_capacity(self):
+        plan = FaultPlan(shard_slow_s=1.5)
+        tier = Tier(shards=1, max_inflight=1, max_queue=0, fault_plan=plan)
+        source = load_source("figure2")
+        line = seed_line("figure2", "seed")
+        held = []
+
+        def hold():
+            with SliceClient.connect(host, port, retries=0) as client:
+                held.append(client.slice(source, line))
+
+        try:
+            host, port = tier.router.start()
+            holder = threading.Thread(target=hold)
+            holder.start()
+            deadline = time.monotonic() + 10
+            while tier.router._inflight < 1:
+                assert time.monotonic() < deadline, "forward never admitted"
+                time.sleep(0.01)
+            # The only forwarding slot is held at the shard for 1.5 s.
+            started = time.monotonic()
+            with SliceClient.connect(host, port, retries=0) as client:
+                assert client.ping()["role"] == "router"
+                assert client.health()["role"] == "router"
+                assert time.monotonic() - started < 0.5
+                with pytest.raises(ServerError) as err:
+                    client.slice(source, line)
+                assert err.value.error_type == "Overloaded"
+            holder.join(timeout=30)
+            assert held and held[0]["line_count"] > 0
+        finally:
+            tier.close()
+
+    def test_start_logs_one_listening_line(self, tier, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.router"):
+            host, port = tier.router.start()
+        events = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.router"
+        ]
+        listening = [
+            event
+            for event in events
+            if event.get("event") == "listening"
+            and event.get("role") == "router"
+        ]
+        assert listening == [
+            {"event": "listening", "role": "router", "host": host, "port": port}
+        ]
 
     def test_shutdown_drains_and_closes(self, tier):
         host, port = tier.router.start()
