@@ -600,13 +600,8 @@ def _run_router(
     replicas: int,
     max_inflight: int,
     max_queue: int,
-    hedge_delay: float | None = None,
 ) -> int:
-    """Serve a router over ``pool`` in the foreground until shutdown.
-
-    ``hedge_delay``: None = adaptive (p95 of observed forwards), 0 =
-    hedging off, positive = fixed hedge delay in seconds.
-    """
+    """Serve a router over ``pool`` in the foreground until shutdown."""
     from repro.server.router import start_router
 
     router = start_router(
@@ -616,7 +611,6 @@ def _run_router(
         replicas=replicas,
         max_inflight=max_inflight,
         max_queue=max_queue,
-        hedge_delay_s=hedge_delay,
     )
     try:
         router.join()
@@ -685,7 +679,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
-        hedge_delay=args.hedge_delay,
     )
 
 
@@ -770,7 +763,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
             max_inflight=args.workers * args.shards,
             max_queue=args.max_queue * args.shards,
-            hedge_delay=args.hedge_delay,
         )
 
     _setup_server_logging(args.quiet)
@@ -1025,14 +1017,6 @@ def main(argv: list[str] | None = None) -> int:
         "re-converge replicas after a shard was down (--shards mode; "
         "0 disables; default: 30)",
     )
-    p_serve.add_argument(
-        "--hedge-delay",
-        type=float,
-        default=None,
-        help="seconds before a slow keyed request is hedged to its "
-        "first replica (0 disables hedging; default: adaptive p95 of "
-        "observed forward latency)",
-    )
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_route = sub.add_parser(
@@ -1091,14 +1075,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=30.0,
         help="per-forward transport timeout in seconds (default: 30)",
-    )
-    p_route.add_argument(
-        "--hedge-delay",
-        type=float,
-        default=None,
-        help="seconds before a slow keyed request is hedged to its "
-        "first replica (0 disables hedging; default: adaptive p95 of "
-        "observed forward latency)",
     )
     p_route.add_argument(
         "--rolling-restart",

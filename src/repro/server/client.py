@@ -54,10 +54,17 @@ class ServerError(RuntimeError):
     or ``spawn:<pid>`` for a private child daemon).  In router mode the
     router stamps relayed shard errors with the *shard's* address, so a
     failure deep in the tier is attributable from the client side.
+    ``answered`` is true when the server sent the error as its response
+    to the request (the connection is intact), false for a transport
+    failure.
     """
 
     def __init__(
-        self, error_type: str, message: str, endpoint: str | None = None
+        self,
+        error_type: str,
+        message: str,
+        endpoint: str | None = None,
+        answered: bool = False,
     ) -> None:
         label = f"{error_type}: {message}"
         if endpoint:
@@ -66,6 +73,7 @@ class ServerError(RuntimeError):
         self.error_type = error_type
         self.message = message
         self.endpoint = endpoint
+        self.answered = answered
 
 
 def _backoff_delay(attempt: int) -> float:
@@ -290,6 +298,7 @@ class SliceClient:
                 error.get("type", "Unknown"),
                 error.get("message", ""),
                 endpoint=error.get("endpoint") or self.endpoint,
+                answered=True,
             )
         return response["result"]
 

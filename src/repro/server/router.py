@@ -13,7 +13,8 @@ Architecture:
 * **Serving** — the router is served by the daemon's own TCP loop
   (:func:`repro.server.daemon.start_tcp_server`): one thread per
   connection, the same line cap and oversize recovery.  Each request
-  is forwarded on its connection's thread; there is no second hop.
+  is forwarded once, on its connection's thread, to one shard at a
+  time; there is no second hop.
 * **Admission** — at most ``max_inflight`` forwards reach the shards
   at once and up to ``max_queue`` more wait for a slot; beyond that
   the router sheds load with the same structured ``Overloaded`` error
@@ -27,14 +28,18 @@ Architecture:
   derived (missing/invalid params) are forwarded to the first healthy
   shard so the *daemon's* validation answers authoritatively — the
   router never re-implements parameter checking.
-* **Failover** — the ring's :meth:`~repro.server.ring.HashRing.preference`
-  order is walked healthy-first: a shard failure (``Overloaded`` /
-  ``Disconnected``, the same retryable set the client uses) advances
-  to the next candidate and feeds the shard's health accounting, so a
-  dead shard is demoted by live traffic before the next probe tick.
-  Structured shard errors (``BadParams``, ``Timeout``, ``MJError``...)
-  are relayed verbatim, stamped with the shard's address in the error
-  payload (``error.endpoint``) for debuggability.
+* **Failover** — one loop walks the ring's
+  :meth:`~repro.server.ring.HashRing.preference` order healthy-first,
+  calling the shard on the request's own thread: a shard failure
+  (``Overloaded`` / ``Disconnected``, the same retryable set the client
+  uses) advances to the next candidate and feeds the shard's health
+  accounting, so a dead shard is demoted by live traffic before the
+  next probe tick.  Each attempt carries the time left of the client's
+  ``deadline``.  Structured shard errors (``BadParams``, ``Timeout``,
+  ``MJError``...) are relayed verbatim, stamped with the shard's
+  address in the error payload (``error.endpoint``) for debuggability.
+  An answer from a shard other than the first candidate triggers a
+  read repair of the key's replicas.
 * **Batch fan-out** — ``slice_batch`` items are grouped by owning
   shard, the sub-batches forwarded concurrently, and the merged result
   preserves request order; single-owner batches forward untouched so
@@ -53,10 +58,7 @@ import json
 import logging
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro import __version__
@@ -99,16 +101,6 @@ DEFAULT_MAX_INFLIGHT = 16
 #: Admitted-but-waiting requests beyond busy slots before shedding.
 DEFAULT_MAX_QUEUE = 64
 
-#: Hedging needs at least this many latency samples before trusting
-#: the adaptive quantile; below it only a fixed ``hedge_delay_s`` hedges.
-_HEDGE_MIN_SAMPLES = 16
-
-#: The hedge quantile and its floor: hedge after the observed p95 of
-#: successful keyed forwards, never sooner than 50 ms (a hedge against
-#: ordinary jitter just doubles load for nothing).
-_HEDGE_QUANTILE = 0.95
-_HEDGE_MIN_DELAY_S = 0.05
-
 
 class Router:
     """Routes protocol requests across a :class:`ShardPool` via a ring."""
@@ -120,20 +112,12 @@ class Router:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         fault_plan: FaultPlan | None = None,
-        hedge_delay_s: float | None = None,
     ) -> None:
         self.pool = pool
         self.ring = HashRing(pool.addresses(), replicas=replicas)
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.fault_plan = fault_plan
-        #: Hedged requests: after a quantile-based delay, a slow keyed
-        #: ``slice`` is re-issued to the key's first replica and the
-        #: first answer wins (byte-identity across shards makes racing
-        #: them safe).  ``hedge_delay_s``: None adapts to the observed
-        #: p95 once enough samples exist, 0 (or less) disables hedging,
-        #: a positive value pins the delay.
-        self.hedge_delay_s = hedge_delay_s
         self.started = time.time()
         self.shutting_down = False
         self.address: tuple[str, int] | None = None
@@ -142,21 +126,11 @@ class Router:
         # ``max_inflight`` of them reach the shards at once.
         self._inflight = 0
         self._slots = threading.BoundedSemaphore(max_inflight)
-        # Hedge attempts run on their own pool: a hedge losing the race
-        # stays blocked on its shard until that call returns, and those
-        # parked threads must not eat forwarding slots.
-        self._hedge_executor = ThreadPoolExecutor(
-            max_workers=max(4, max_inflight * 2),
-            thread_name_prefix="repro-hedge",
-        )
         self._stats_lock = threading.Lock()
         self._method_stats: dict[str, MethodStats] = {}
-        self._latencies: deque[float] = deque(maxlen=128)
         self.forwarded_total = 0
         self.failover_total = 0
         self.shed_total = 0
-        self.hedges_total = 0
-        self.hedge_wins = 0
         self.read_repairs = 0
         self.deadline_expired_total = 0
         # The TCP server and its accept thread (populated by start()).
@@ -250,10 +224,10 @@ class Router:
     # Routing
     # ------------------------------------------------------------------
 
-    def _routing_key(self, params: dict[str, Any]) -> str | None:
-        """The request's ``source_fingerprint`` — or ``None`` when it
-        cannot be derived, in which case the request is forwarded to
-        the first healthy shard for authoritative validation."""
+    @staticmethod
+    def _source_text(params: dict[str, Any]) -> str | None:
+        """The request's source text (``source``, or the named suite
+        ``program``), or ``None`` when the params do not name one."""
         source = params.get("source")
         if source is None:
             program = params.get("program")
@@ -263,9 +237,16 @@ class Router:
                 from repro.suite.loader import load_source
 
                 source = load_source(program)
-            except (FileNotFoundError, OSError):
+            except OSError:
                 return None
-        if not isinstance(source, str):
+        return source if isinstance(source, str) else None
+
+    def _routing_key(self, params: dict[str, Any]) -> str | None:
+        """The request's ``source_fingerprint`` — or ``None`` when it
+        cannot be derived, in which case the request is forwarded to
+        the first healthy shard for authoritative validation."""
+        source = self._source_text(params)
+        if source is None:
             return None
         return source_fingerprint(source, bool(params.get("include_stdlib", True)))
 
@@ -273,10 +254,7 @@ class Router:
         """Forwarding order: ring preference for the key, healthy shards
         first; unhealthy shards stay as a last resort (they may have
         recovered since the last probe), draining shards never."""
-        states = {
-            address: snap["state"]
-            for address, snap in self.pool.snapshot().items()
-        }
+        states = self.pool.states()
         order = (
             self.ring.preference(key)
             if key is not None
@@ -290,112 +268,6 @@ class Router:
         ]
         return healthy + fallback
 
-    def _call_shard(
-        self, method: str, params: dict[str, Any], address: str
-    ) -> tuple[str, Any]:
-        """One attempt against one shard, with all health accounting.
-
-        Returns ``("ok", result)``, ``("relay", ServerError)`` for a
-        structured shard answer (the shard is alive — relay verbatim),
-        or ``("retryable", ServerError)`` for a transport-level failure
-        (the failover walk advances).  Shared by the plain failover walk
-        and the hedged path so both account identically.
-        """
-        shard = self.pool.shard(address)
-        attempt_started = time.monotonic()
-        try:
-            result = shard.call(method, dict(params))
-        except ServerError as exc:
-            if exc.error_type in RETRYABLE:
-                refused = isinstance(
-                    exc.__cause__, ConnectionRefusedError
-                ) or shard.process_exited()
-                self.pool.note_failure(
-                    address, str(exc), definitely_down=refused
-                )
-                with shard._lock:
-                    shard.failed_total += 1
-                with self._stats_lock:
-                    self.failover_total += 1
-                return "retryable", exc
-            self.pool.note_success(address)
-            return "relay", exc
-        self.pool.note_success(address)
-        with shard._lock:
-            shard.forwarded_total += 1
-        with self._stats_lock:
-            self.forwarded_total += 1
-            if method == "slice":
-                # The hedge delay estimate feeds on successful keyed
-                # forwards only — failures would teach it to hedge at
-                # timeout latency.
-                self._latencies.append(time.monotonic() - attempt_started)
-        return "ok", result
-
-    def _hedge_delay(self) -> float | None:
-        """Seconds to wait before hedging, or None (hedging off, or not
-        enough signal).
-
-        A set ``hedge_delay_s`` always wins; otherwise the observed
-        p95 of successful keyed forwards, floored at 50 ms, once at
-        least :data:`_HEDGE_MIN_SAMPLES` samples exist.
-        """
-        if self.hedge_delay_s is not None:
-            return self.hedge_delay_s if self.hedge_delay_s > 0 else None
-        with self._stats_lock:
-            if len(self._latencies) < _HEDGE_MIN_SAMPLES:
-                return None
-            ordered = sorted(self._latencies)
-        quantile = ordered[int(_HEDGE_QUANTILE * (len(ordered) - 1))]
-        return max(quantile, _HEDGE_MIN_DELAY_S)
-
-    def _hedged_attempt(
-        self,
-        method: str,
-        params: dict[str, Any],
-        primary: str,
-        backup: str,
-        delay_s: float,
-    ) -> tuple[str, Any, str]:
-        """Race ``primary`` against ``backup`` after ``delay_s``.
-
-        Byte-identity across shards makes the race safe: whichever
-        answers first is *the* answer.  The loser is abandoned — its
-        thread unblocks when its shard call returns and its accounting
-        still lands (a hedge is real extra load, not free).  Returns
-        ``(status, value, served_by)`` like :meth:`_call_shard` plus
-        the address that produced the outcome.
-        """
-        primary_future = self._hedge_executor.submit(
-            self._call_shard, method, params, primary
-        )
-        try:
-            status, value = primary_future.result(timeout=delay_s)
-            return status, value, primary
-        except FutureTimeout:
-            pass
-        with self._stats_lock:
-            self.hedges_total += 1
-        backup_future = self._hedge_executor.submit(
-            self._call_shard, method, params, backup
-        )
-        futures = {primary_future: primary, backup_future: backup}
-        pending = set(futures)
-        fallback: tuple[str, Any, str] | None = None
-        while pending:
-            done, pending = futures_wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                status, value = future.result()
-                if status == "ok":
-                    if futures[future] == backup:
-                        with self._stats_lock:
-                            self.hedge_wins += 1
-                    return status, value, futures[future]
-                if fallback is None or futures[future] == primary:
-                    fallback = (status, value, futures[future])
-        assert fallback is not None
-        return fallback
-
     def _forward(
         self,
         method: str,
@@ -403,6 +275,8 @@ class Router:
         key: str | None,
         request_id: Any,
     ) -> dict[str, Any]:
+        """Send the request to one candidate at a time, on this thread,
+        until a shard answers."""
         candidates = self._candidates(key)
         if not candidates:
             return error_response(
@@ -422,16 +296,8 @@ class Router:
         ) or original_deadline <= 0:
             original_deadline = None
         forward_started = time.monotonic()
-        hedge_delay = (
-            self._hedge_delay()
-            if method == "slice" and key is not None and len(candidates) >= 2
-            else None
-        )
         last: ServerError | None = None
-        attempt = 0
-        index = 0
-        while index < len(candidates):
-            address = candidates[index]
+        for attempt, address in enumerate(candidates):
             if self.fault_plan is not None:
                 self.fault_plan.on_route(self.pool, address)
             attempt_params = params
@@ -448,51 +314,55 @@ class Router:
                         f"{original_deadline:g}s deadline exhausted at the "
                         "router before a shard could answer",
                     )
-                attempt_params = dict(params)
-                attempt_params["deadline"] = remaining
-            if hedge_delay is not None and index == 0:
-                status, value, served_by = self._hedged_attempt(
-                    method, attempt_params, address, candidates[1], hedge_delay
-                )
-                # Both racers failed transport-level: the walk resumes
-                # after the pair (each already fed failover accounting).
-                consumed = 2 if status == "retryable" else 1
-            else:
-                status, value = self._call_shard(
-                    method, attempt_params, address
-                )
-                served_by, consumed = address, 1
-            if status == "relay":
-                # A structured answer proves the shard is alive; relay
-                # it stamped with the shard's address.
-                exc = value
-                response = error_response(
-                    request_id, exc.error_type, exc.message
-                )
-                response["error"]["endpoint"] = exc.endpoint or served_by
-                return response
-            if status == "ok":
-                if attempt or served_by != candidates[0]:
-                    logger.info(
-                        "%s",
-                        json.dumps(
-                            {
-                                "event": "failover",
-                                "method": method,
-                                "served_by": served_by,
-                                "attempts": attempt + 1,
-                            },
-                            sort_keys=True,
-                        ),
+                attempt_params = {**params, "deadline": remaining}
+            shard = self.pool.shard(address)
+            try:
+                result = shard.call(method, attempt_params)
+            except ServerError as exc:
+                if exc.error_type not in RETRYABLE:
+                    # A structured answer proves the shard is alive;
+                    # relay it stamped with the shard's address.
+                    self.pool.note_success(address)
+                    response = error_response(
+                        request_id, exc.error_type, exc.message
                     )
-                    # The shard that answered may not be the key's
-                    # owner: re-fan its stored artifact so the replica
-                    # set heals without waiting for anti-entropy.
-                    self._read_repair(served_by, params, key)
-                return ok_response(request_id, value)
-            last = value
-            index += consumed
-            attempt += 1
+                    response["error"]["endpoint"] = exc.endpoint or address
+                    return response
+                refused = isinstance(
+                    exc.__cause__, ConnectionRefusedError
+                ) or shard.process_exited()
+                self.pool.note_failure(
+                    address, str(exc), definitely_down=refused
+                )
+                with shard._lock:
+                    shard.failed_total += 1
+                with self._stats_lock:
+                    self.failover_total += 1
+                last = exc
+                continue
+            self.pool.note_success(address)
+            with shard._lock:
+                shard.forwarded_total += 1
+            with self._stats_lock:
+                self.forwarded_total += 1
+            if attempt:
+                logger.info(
+                    "%s",
+                    json.dumps(
+                        {
+                            "event": "failover",
+                            "method": method,
+                            "served_by": address,
+                            "attempts": attempt + 1,
+                        },
+                        sort_keys=True,
+                    ),
+                )
+                # The shard that answered may not be the key's owner:
+                # re-fan its stored artifact so the replica set heals
+                # without waiting for anti-entropy.
+                self._read_repair(address, params, key)
+            return ok_response(request_id, result)
         assert last is not None
         response = error_response(
             request_id,
@@ -510,30 +380,18 @@ class Router:
         keyed request: the serving shard re-fans the artifact to the
         key's designated holders.  Best-effort by design — anti-entropy
         repair converges anything this misses."""
-        if key is None:
+        source = self._source_text(params) if key is not None else None
+        if source is None:
             return
-        try:
-            from repro import AnalyzeOptions
-            from repro.artifact import content_key
+        from repro import AnalyzeOptions
+        from repro.artifact import content_key
 
-            source = params.get("source")
-            if source is None:
-                program = params.get("program")
-                if not isinstance(program, str):
-                    return
-                from repro.suite.loader import load_source
-
-                source = load_source(program)
-            if not isinstance(source, str):
-                return
-            store_key = content_key(
-                source,
-                AnalyzeOptions(
-                    include_stdlib=bool(params.get("include_stdlib", True))
-                ),
-            )
-        except Exception:  # noqa: BLE001 - repair must never fail a request
-            return
+        store_key = content_key(
+            source,
+            AnalyzeOptions(
+                include_stdlib=bool(params.get("include_stdlib", True))
+            ),
+        )
         with self._stats_lock:
             self.read_repairs += 1
 
@@ -683,8 +541,6 @@ class Router:
                 "forwarded_total": self.forwarded_total,
                 "failover_total": self.failover_total,
                 "shed_total": self.shed_total,
-                "hedges_total": self.hedges_total,
-                "hedge_wins": self.hedge_wins,
                 "read_repairs": self.read_repairs,
                 "deadline_expired_total": self.deadline_expired_total,
                 "max_inflight": self.max_inflight,
@@ -804,7 +660,6 @@ class Router:
             self._tcp.shutdown()
             self._tcp.server_close()
         self.pool.stop()
-        self._hedge_executor.shutdown(wait=False, cancel_futures=True)
 
     def start(
         self, host: str = "127.0.0.1", port: int = 0

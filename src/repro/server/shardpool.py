@@ -21,8 +21,9 @@ service:
   the next probe tick.
 * **Connection reuse** — each shard keeps a small free-list of
   :class:`~repro.server.client.SliceClient` connections; the router
-  borrows one per forwarded request and returns it on success, so warm
-  traffic pays no re-dial.  Transport failures discard the connection.
+  borrows one per forwarded request and returns it once the shard has
+  answered (a structured error included), so warm traffic pays no
+  re-dial.  Transport failures discard the connection.
 * **Draining** — :meth:`ShardPool.stop` marks every shard draining (no
   new requests are routed to it), politely asks *spawned* shards to
   shut down via the ``shutdown`` RPC, and kills any that linger.
@@ -162,20 +163,23 @@ class Shard:
             client = self._free.pop() if self._free else None
         if client is None:
             client = self._dial()
+        reusable = False
         try:
             result = client.request(method, **params)
-        except ServerError:
-            # Whatever the failure, this connection's state is now
-            # suspect (a Timeout may leave an unread response in the
-            # pipe); never return it to the pool.
-            client.close()
+            reusable = True
+            return result
+        except ServerError as exc:
+            # A structured error the shard answered leaves the
+            # connection in step; a transport failure makes it suspect
+            # (a Timeout may leave an unread response in the pipe).
+            reusable = exc.answered
             raise
-        except BaseException:
-            client.close()
-            raise
-        with self._lock:
-            self._free.append(client)
-        return result
+        finally:
+            if reusable:
+                with self._lock:
+                    self._free.append(client)
+            else:
+                client.close()
 
     def probe(self) -> dict[str, Any]:
         """One ``health`` round trip on a fresh, short-timeout dial."""
@@ -387,12 +391,15 @@ class ShardPool:
             return sorted(self._shards)
 
     def healthy_addresses(self) -> list[str]:
+        return sorted(a for a, s in self.states().items() if s == HEALTHY)
+
+    def states(self) -> dict[str, str]:
+        """Each shard's state — the router's per-request view, without
+        building full snapshots."""
         with self._lock:
-            return sorted(
-                address
-                for address, shard in self._shards.items()
-                if shard.state == HEALTHY
-            )
+            return {
+                address: shard.state for address, shard in self._shards.items()
+            }
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         with self._lock:

@@ -495,68 +495,6 @@ class TestDeadlineExpired:
 
 
 # ----------------------------------------------------------------------
-# Hedging
-# ----------------------------------------------------------------------
-
-
-class TestHedging:
-    def test_slow_primary_hedged_to_replica(self, tmp_path):
-        tier = Tier(shards=2, hedge_delay_s=0.05)
-        try:
-            source = load_source("figure1")
-            line = seed_line("figure1", "seed")
-            key = tier.router._routing_key({"source": source})
-            primary = tier.router.ring.preference(key)[0]
-            shard = tier.pool.shard(primary)
-            original = shard.call
-
-            def sluggish(method, params):
-                if method == "slice":
-                    time.sleep(0.6)
-                return original(method, params)
-
-            shard.call = sluggish
-            start = time.monotonic()
-            response = route(tier.router, "slice", source=source, line=line)
-            elapsed = time.monotonic() - start
-            assert response["ok"], response
-            assert tier.router.hedges_total == 1
-            assert tier.router.hedge_wins == 1
-            # The hedge answered well before the sluggish primary.
-            assert elapsed < 0.6
-        finally:
-            tier.close()
-
-    def test_no_hedge_without_latency_signal(self, tier):
-        # Adaptive mode with zero samples: the first request must not
-        # hedge (there is no quantile to trigger on).
-        response = route(
-            tier.router,
-            "slice",
-            source=load_source("figure1"),
-            line=seed_line("figure1", "seed"),
-        )
-        assert response["ok"]
-        assert tier.router.hedges_total == 0
-        assert tier.router._hedge_delay() is None
-
-    def test_fixed_delay_beats_quantile(self):
-        router_tier = Tier(shards=2, hedge_delay_s=0.25)
-        try:
-            assert router_tier.router._hedge_delay() == 0.25
-        finally:
-            router_tier.close()
-
-    def test_zero_delay_disables_hedging(self):
-        router_tier = Tier(shards=2, hedge_delay_s=0)
-        try:
-            router_tier.router._latencies.extend([1.0] * 32)
-            assert router_tier.router._hedge_delay() is None
-        finally:
-            router_tier.close()
-
-
-# ----------------------------------------------------------------------
 # Session checkpointing
 # ----------------------------------------------------------------------
 

@@ -450,6 +450,61 @@ class TestAdmission:
         assert 1 <= peak[0] <= 2
 
 
+class TestForwardPath:
+    def test_forward_runs_once_on_the_calling_thread(self, tier):
+        """Past 16 keyed slices a default router still calls the shard
+        on the thread that called ``handle_line``, and a slow cold miss
+        is sent to exactly one shard."""
+        calls: list[tuple[str, str, int]] = []
+        slow: set[str] = set()
+        for address in tier.pool.addresses():
+            shard = tier.pool.shard(address)
+
+            def spy(method, params, _address=address, _call=shard.call):
+                calls.append((_address, method, threading.get_ident()))
+                if method == "slice" and _address in slow:
+                    time.sleep(0.3)
+                return _call(method, params)
+
+            shard.call = spy
+        line = seed_line("figure1", "seed")
+        warm = load_source("figure1")
+        for index in range(20):
+            assert route(tier.router, "slice", index, source=warm, line=line)[
+                "ok"
+            ]
+        caller = threading.get_ident()
+        assert [c[2] for c in calls] == [caller] * 20
+
+        cold = f"{warm}\n// cold miss\n"
+        owner = tier.router.ring.owner(tier.router._routing_key({"source": cold}))
+        slow.add(owner)
+        calls.clear()
+        response = route(tier.router, "slice", source=cold, line=line)
+        assert response["ok"], response
+        assert calls == [(owner, "slice", caller)]
+
+    def test_error_answers_keep_the_pooled_connection(self, tier):
+        dials = [0]
+        for address in tier.pool.addresses():
+            shard = tier.pool.shard(address)
+
+            def counting(timeout=None, _dial=shard._dial):
+                dials[0] += 1
+                return _dial(timeout)
+
+            shard._dial = counting
+        source = load_source("figure1")
+        for index in range(10):
+            response = route(
+                tier.router, "slice", index, source=source, line="nope"
+            )
+            assert response["error"]["type"] == "BadParams"
+        line = seed_line("figure1", "seed")
+        assert route(tier.router, "slice", source=source, line=line)["ok"]
+        assert dials[0] == 1
+
+
 # ----------------------------------------------------------------------
 # The TCP frontend (the daemon's threaded line loop serving the router)
 # ----------------------------------------------------------------------
