@@ -10,7 +10,10 @@ then proves the deployment story end to end, from outside the process:
 3. the pool respawns the dead shard on its original port: health
    heals back to 2/2 with ``respawns_total >= 1`` and a new pid, and
    the reborn shard serves traffic again;
-4. ``shutdown`` drains the tier and the process exits 0.
+4. ``shutdown`` drains the tier and the process exits 0;
+5. every shard's ``request`` log lines, each naming the shard in
+   ``endpoint``, reached the tier's stderr (shards write their own
+   logs to the stderr they inherit).
 
 Run from the repo root: ``PYTHONPATH=src python scripts/router_smoke.py``
 """
@@ -23,6 +26,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -79,12 +83,12 @@ def main() -> int:
     )
     try:
         port = await_router_port(tier)
-        # Keep draining tier logs so no child blocks on a full pipe.
-        import threading
-
-        threading.Thread(
-            target=lambda: [None for _ in tier.stderr], daemon=True
-        ).start()
+        # Keep reading tier logs so no child blocks on a full pipe.
+        logs: list[str] = []
+        reader = threading.Thread(
+            target=lambda: logs.extend(tier.stderr), daemon=True
+        )
+        reader.start()
 
         base = load_source("figure2")
         seed = marker_line(base, "tag", "seed")
@@ -106,6 +110,7 @@ def main() -> int:
             health = client.health()
             if health["healthy_shards"] != 2:
                 fail(f"expected 2 healthy shards, got {health}")
+            shard_addresses = set(health["shards"])
             victim, pid = next(
                 (address, shard["pid"])
                 for address, shard in health["shards"].items()
@@ -161,6 +166,25 @@ def main() -> int:
         if tier.wait(timeout=30) != 0:
             fail(f"tier exited {tier.returncode}")
         print("ok: tier drained and exited 0")
+
+        # 5. Shard request lines reached the tier's stderr.
+        reader.join(timeout=30)
+        endpoints = set()
+        for line in logs:
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(event, dict) and event.get("event") == "request":
+                if event.get("endpoint") not in shard_addresses:
+                    fail(f"shard request line without its endpoint: {line!r}")
+                endpoints.add(event["endpoint"])
+        if endpoints != shard_addresses:
+            fail(
+                f"request lines from {sorted(endpoints)}, expected every "
+                f"shard of {sorted(shard_addresses)}"
+            )
+        print(f"ok: request lines from all {len(endpoints)} shards on stderr")
         print("PASS")
         return 0
     finally:

@@ -543,17 +543,23 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 0 if payload["healthy"] else 1
 
 
-def _setup_server_logging(quiet: bool) -> None:
+def _setup_server_logging(quiet: bool) -> Any:
+    """Route the server's structured logs to stderr (nothing with
+    ``--quiet``); returns the per-request log, written off the request
+    thread."""
     import logging
 
+    from repro.server.requestlog import RequestLog
+
     if quiet:
-        return
+        return RequestLog(None)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
     for name in ("repro.server", "repro.router"):
         server_logger = logging.getLogger(name)
         server_logger.addHandler(handler)
         server_logger.setLevel(logging.INFO)
+    return RequestLog(sys.stderr)
 
 
 def _shard_serve_args(args: argparse.Namespace) -> list[str]:
@@ -589,6 +595,9 @@ def _shard_serve_args(args: argparse.Namespace) -> list[str]:
         forwarded += ["--poison-threshold", str(args.poison_threshold)]
     if args.scrub_interval is not None:
         forwarded += ["--scrub-interval", str(args.scrub_interval)]
+    if args.quiet:
+        # Shards write their own logs to the stderr they inherit.
+        forwarded += ["--quiet"]
     return forwarded
 
 
@@ -600,6 +609,7 @@ def _run_router(
     replicas: int,
     max_inflight: int,
     max_queue: int,
+    request_log: Any,
 ) -> int:
     """Serve a router over ``pool`` in the foreground until shutdown."""
     from repro.server.router import start_router
@@ -611,6 +621,7 @@ def _run_router(
         replicas=replicas,
         max_inflight=max_inflight,
         max_queue=max_queue,
+        request_log=request_log,
     )
     try:
         router.join()
@@ -658,7 +669,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "error: --shard HOST:PORT is required (or use "
             "--rolling-restart HOST:PORT against a running router)"
         )
-    _setup_server_logging(args.quiet)
+    request_log = _setup_server_logging(args.quiet)
     if args.probe_interval <= 0:
         raise SystemExit("error: --probe-interval must be positive")
     if args.failure_threshold < 1:
@@ -679,6 +690,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
+        request_log=request_log,
     )
 
 
@@ -707,7 +719,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit("error: --replicate must be >= 1")
         if args.repair_interval is not None and args.repair_interval < 0:
             raise SystemExit("error: --repair-interval must be >= 0")
-        _setup_server_logging(args.quiet)
+        request_log = _setup_server_logging(args.quiet)
         host, port = _parse_hostport(args.tcp)
         per_shard_args = None
         repair_every = 0
@@ -735,7 +747,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
         pool = ShardPool(
             probe_interval_s=args.probe_interval,
-            echo_shard_logs=not args.quiet,
             respawn=not args.no_respawn,
             repair_every=repair_every,
         )
@@ -763,9 +774,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
             max_inflight=args.workers * args.shards,
             max_queue=args.max_queue * args.shards,
+            request_log=request_log,
         )
 
-    _setup_server_logging(args.quiet)
+    request_log = _setup_server_logging(args.quiet)
 
     store = None
     if not args.no_disk_cache:
@@ -804,6 +816,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_limit_mb=memory_limit,
         quarantine=quarantine,
         scrub_interval_s=scrub_interval,
+        request_log=request_log,
     )
     server.prestart()
     if args.tcp:

@@ -123,7 +123,10 @@ class AnalysisCache:
         filename: str = "<input>",
         options: AnalyzeOptions | None = None,
         executor_ok: bool = True,
-    ) -> tuple[CacheEntry, str]:
+        *,
+        key: str | None = None,
+        tiers: str = "all",
+    ) -> tuple[CacheEntry | None, str]:
         """Return ``(entry, origin)``, origin ∈ memory | disk |
         replica | incremental | analyzed.
 
@@ -131,23 +134,35 @@ class AnalysisCache:
         when a process executor is attached — the daemon's circuit
         breaker uses it to degrade process→thread after repeated worker
         crashes (see :class:`repro.server.quarantine.CircuitBreaker`).
+
+        ``tiers`` splits the lookup for the daemon, which answers hits
+        on the connection thread and sends only misses to a worker:
+        ``"warm"`` probes memory and disk and returns ``(None, "miss")``
+        when neither holds the key; ``"cold"`` starts at the replica
+        tier, for a caller that has just probed the warm tiers.
+        ``key`` is ``cache_key(source, options)`` when the caller has
+        already computed it.
         """
         options = options or AnalyzeOptions()
-        key = cache_key(source, options)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.memory_hits += 1
-                return cached, "memory"
-        if self.store is not None:
-            view = self.store.load_view(key)
-            if view is not None:
-                entry = CacheEntry(view=view)
-                with self._lock:
-                    self.disk_hits += 1
-                    self._put(key, entry)
-                return entry, "disk"
+        if key is None:
+            key = cache_key(source, options)
+        if tiers != "cold":
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._entries.move_to_end(key)
+                    self.memory_hits += 1
+                    return cached, "memory"
+            if self.store is not None:
+                view = self.store.load_view(key)
+                if view is not None:
+                    entry = CacheEntry(view=view)
+                    with self._lock:
+                        self.disk_hits += 1
+                        self._put(key, entry)
+                    return entry, "disk"
+            if tiers == "warm":
+                return None, "miss"
         if self.replica_fetch is not None:
             # Replica level: another ring holder may have this artifact
             # warm.  A hit costs one peer round trip instead of a cold

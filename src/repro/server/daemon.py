@@ -11,14 +11,20 @@ Design rules:
   client-abandoned request doesn't just get an error response: its
   worker thread observes the cancelled budget and unwinds within
   milliseconds, so pathological programs cannot wedge the pool.
-* **Admission control** — at most ``max_queue`` requests may wait for
+* **Admission control** — a memory or disk hit for ``slice``,
+  ``explain``, ``why``, ``chop`` or ``stats`` over a program is
+  answered on the connection thread and never queues; only a miss
+  goes to the worker pool.  At most ``max_queue`` misses may wait for
   a worker; beyond that the daemon sheds load with a fast structured
   ``Overloaded`` error instead of silently piling work up.
-* **Observability** — every request is timed and counted per method
-  and emitted as a structured (JSON) log line; the ``stats`` RPC with
-  no program argument returns the counters plus cache hit/miss
-  numbers, and the ``health`` RPC reports busy/queued workers without
-  ever touching the worker pool.
+* **Observability** — every request is timed and counted per method,
+  and its structured (JSON) log line is handed to a bounded
+  :class:`~repro.server.requestlog.RequestLog` whose writer thread
+  formats and writes it off the request path (records a full buffer
+  drops are counted as ``log_dropped``).  The ``stats`` RPC with no
+  program argument returns the counters plus cache hit/miss numbers,
+  and the ``health`` RPC reports busy/queued workers (pool work only)
+  without ever touching the worker pool.
 * **Input hardening** — requests whose analysis repeatedly *kills a
   worker process* (crash or memory-limit overrun) are quarantined by
   content fingerprint and answered with an immediate structured
@@ -63,7 +69,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, TextIO
 
 from repro import AnalyzeOptions, __version__
@@ -76,6 +82,7 @@ from repro.server.cache import AnalysisCache, CacheEntry, cache_key
 from repro.server.faults import FaultPlan
 from repro.server.fragments import FragmentStore
 from repro.server.quarantine import CircuitBreaker, Quarantine
+from repro.server.requestlog import RequestLog
 from repro.server.replication import (
     DEFAULT_REPLICATION_FACTOR,
     Replicator,
@@ -133,11 +140,14 @@ _FLAT_CORRUPTION_ERRORS = (
 
 #: Methods answered inline on the connection thread — never dispatched
 #: to the worker pool, so they stay responsive under saturation.
+#: (``stats`` here is the server-wide form; ``stats`` over a program is
+#: a cache query.)
 _INLINE_METHODS = frozenset(
     {
         "ping",
         "shutdown",
         "health",
+        "stats",
         "put_artifact",
         "get_artifact",
         "sync_offer",
@@ -153,12 +163,29 @@ def default_executor(workers: int) -> str:
     return "process" if workers > 1 else "thread"
 
 
+#: A parsed cache query: ``answer(entry, name)`` renders the result
+#: payload from one cache entry.
+Answer = Callable[[CacheEntry, str], dict[str, Any]]
+
+
 class QueryError(Exception):
     """A structured, client-visible failure (bad params, empty result)."""
 
     def __init__(self, error_type: str, message: str) -> None:
         super().__init__(message)
         self.error_type = error_type
+
+
+@dataclass
+class _Target:
+    """The program a cache query names: its source, display name,
+    analysis options (without a budget) and cache key, computed once
+    per request."""
+
+    source: str
+    name: str
+    options: AnalyzeOptions
+    key: str
 
 
 @dataclass
@@ -206,6 +233,7 @@ class SliceServer:
         breaker: CircuitBreaker | None = None,
         scrub_interval_s: float | None = None,
         incremental: bool = True,
+        request_log: RequestLog | None = None,
     ) -> None:
         if executor not in ("thread", "process"):
             raise ValueError(f"unknown executor: {executor!r}")
@@ -282,16 +310,26 @@ class SliceServer:
         # ``replicate_config`` RPC because shard ports are ephemeral —
         # nobody knows the peer list until the whole tier is listening.
         self.replicator: Replicator | None = None
+        self.request_log = (
+            request_log if request_log is not None else RequestLog(None)
+        )
+        #: ``host:port`` once :func:`serve_tcp` has bound; stamped into
+        #: every request log line so a shard's lines name the shard.
+        self.endpoint: str | None = None
+        # Cache queries: each parses its params into an ``Answer``.
+        self._queries: dict[str, Callable[[dict[str, Any]], Answer]] = {
+            "slice": self._query_slice,
+            "explain": self._query_explain,
+            "why": self._query_why,
+            "chop": self._query_chop,
+            "stats": self._query_stats,
+        }
         self._methods: dict[
             str, Callable[[dict[str, Any], Budget | None], dict[str, Any]]
         ] = {
             "ping": self._method_ping,
             "health": self._method_health,
-            "slice": self._method_slice,
             "slice_batch": self._method_slice_batch,
-            "explain": self._method_explain,
-            "why": self._method_why,
-            "chop": self._method_chop,
             "stats": self._method_stats_rpc,
             "shutdown": self._method_shutdown,
             "put_artifact": self._method_put_artifact,
@@ -335,7 +373,9 @@ class SliceServer:
         request_id = request.get("id")
         method = request.get("method")
         params = request.get("params") or {}
-        if not isinstance(method, str) or method not in self._methods:
+        if not isinstance(method, str) or (
+            method not in self._methods and method not in self._queries
+        ):
             return error_response(
                 request_id, "UnknownMethod", f"unknown method: {method!r}"
             )
@@ -346,22 +386,25 @@ class SliceServer:
         start = time.perf_counter()
         timed_out = False
         try:
-            # Replication traffic rides the introspection path too: a
-            # saturated worker pool must not be able to starve artifact
-            # convergence (the RPCs touch only the store, never a
-            # worker), and repair/config calls must answer during a
-            # drain when every worker slot is busy finishing requests.
-            introspection = method in _INLINE_METHODS or (
-                method == "stats"
-                and "source" not in params
-                and "program" not in params
-            )
-            if introspection:
-                # Must stay responsive even when the worker pool is
-                # saturated by slow analyses.
+            if method in self._queries and (
+                method != "stats" or "source" in params or "program" in params
+            ):
+                result = self._query(method, params, client_alive)
+            elif method in _INLINE_METHODS:
+                # Introspection must stay responsive even when the
+                # worker pool is saturated by slow analyses.
+                # Replication traffic rides this path too: a saturated
+                # pool must not be able to starve artifact convergence
+                # (the RPCs touch only the store, never a worker), and
+                # repair/config calls must answer during a drain when
+                # every worker slot is busy finishing requests.
                 result = self._methods[method](params, None)
             else:
-                result = self._run_on_worker(method, params, client_alive)
+                limit = self._effective_limit(params)
+                handler = self._methods[method]
+                result = self._run_on_worker(
+                    lambda budget: handler(params, budget), limit, client_alive
+                )
             response = ok_response(request_id, result)
         except QueryError as exc:
             timed_out = exc.error_type == "Timeout"
@@ -389,17 +432,55 @@ class SliceServer:
         self._record(method, latency_ms, response["ok"], timed_out)
         return response
 
+    def _query(
+        self,
+        method: str,
+        params: dict[str, Any],
+        client_alive: Callable[[], bool] | None,
+    ) -> dict[str, Any]:
+        """One cache query.  A memory or disk hit is answered here, on
+        the calling thread, with no admission and no worker hop; a miss
+        (or a hit whose flat walk finds corruption) goes to a worker,
+        which starts the lookup at the replica tier."""
+        limit = self._effective_limit(params)
+        answer = self._queries[method](params)
+        source, name = self._resolve_source(params)
+        target = self._target(
+            source, name, bool(params.get("include_stdlib", True))
+        )
+        entry, origin = self.cache.get_entry(
+            target.source, target.name, target.options,
+            key=target.key, tiers="warm",
+        )
+        if entry is not None:
+            if self.fault_plan is not None:
+                self.fault_plan.on_worker(None)
+            try:
+                payload = answer(entry, target.name)
+            except _FLAT_CORRUPTION_ERRORS as exc:
+                self._degrade(target.key, exc)
+            else:
+                payload["origin"] = origin
+                return payload
+        return self._run_on_worker(
+            lambda budget: self._serve(target, budget, answer),
+            limit,
+            client_alive,
+            # A hit already fired the worker fault for this query.
+            fault=entry is None,
+        )
+
     # ------------------------------------------------------------------
     # Worker-pool dispatch: admission, deadlines, cancellation
     # ------------------------------------------------------------------
 
     def _run_on_worker(
         self,
-        method: str,
-        params: dict[str, Any],
+        handler: Callable[[Budget], dict[str, Any]],
+        limit: float | None,
         client_alive: Callable[[], bool] | None,
+        fault: bool = True,
     ) -> dict[str, Any]:
-        limit = self._effective_limit(params)
         budget = Budget.from_timeout(limit)
         with self._load_lock:
             if self._busy >= self.workers and self._queued >= self.max_queue:
@@ -411,9 +492,7 @@ class SliceServer:
                     "backoff",
                 )
             self._queued += 1
-        future = self._pool.submit(
-            self._run_worker, self._methods[method], params, budget
-        )
+        future = self._pool.submit(self._run_worker, handler, budget, fault)
         deadline = None if limit is None else time.monotonic() + limit
         while True:
             if deadline is not None:
@@ -473,9 +552,9 @@ class SliceServer:
 
     def _run_worker(
         self,
-        handler: Callable[[dict[str, Any], Budget], dict[str, Any]],
-        params: dict[str, Any],
+        handler: Callable[[Budget], dict[str, Any]],
         budget: Budget,
+        fault: bool,
     ) -> dict[str, Any]:
         with self._load_lock:
             self._queued -= 1
@@ -493,9 +572,9 @@ class SliceServer:
                     "deadline passed while the request was queued",
                 )
             budget.check()  # cancelled while still queued -> free at once
-            if self.fault_plan is not None:
+            if fault and self.fault_plan is not None:
                 self.fault_plan.on_worker(budget)
-            return handler(params, budget)
+            return handler(budget)
         finally:
             with self._load_lock:
                 self._busy -= 1
@@ -545,6 +624,7 @@ class SliceServer:
             "shed_total": shed,
             "cancelled_total": cancelled,
             "degraded_recomputes": degraded,
+            "log_dropped": self.request_log.dropped,
             "executor": self.executor,
             "uptime_s": round(time.time() - self.started, 3),
             "quarantine": self.quarantine.stats(),
@@ -719,26 +799,22 @@ class SliceServer:
         self.replicator.repair_async()
         return {"scheduled": True}
 
-    def _method_slice(
-        self, params: dict[str, Any], budget: Budget | None
-    ) -> dict[str, Any]:
+    def _query_slice(self, params: dict[str, Any]) -> Answer:
         item = {
             "line": self._int_param(params, "line"),
             "context": self._opt_int_param(params, "context", 0),
             "flavor": self._flavor_param(params),
         }
-        return self._serve(
-            params, budget, lambda entry, name: self._slice_result(entry, name, item)
-        )
+        return lambda entry, name: self._slice_result(entry, name, item)
 
     def _serve(
         self,
-        params: dict[str, Any],
+        target: _Target,
         budget: Budget | None,
-        answer: Callable[[CacheEntry, str], dict[str, Any]],
-        resolved: tuple[CacheEntry, str, str] | None = None,
+        answer: Answer,
+        resolved: tuple[CacheEntry, str] | None = None,
     ) -> dict[str, Any]:
-        """``answer(entry, name)`` over the request's cache entry, with
+        """``answer(entry, name)`` over the target's cache entry, with
         ``origin`` stamped in, degrading gracefully on corruption.
 
         If the flat walk blows up mid-query (bytes that passed load
@@ -746,28 +822,25 @@ class SliceServer:
         dropped from the memory tier, its backing file quarantined, and
         the request re-analyzed cold — the client gets the same
         byte-identical answer it would have gotten from a healthy
-        store, one analysis slower.  ``resolved`` passes in an entry
-        the caller already looked up (``slice_batch`` shares one per
-        distinct program).
+        store, one analysis slower.  ``resolved`` passes in an
+        ``(entry, origin)`` the caller already looked up
+        (``slice_batch`` shares one per distinct program); without it
+        the lookup starts at the replica tier, because the caller has
+        just missed in memory and on disk.
         """
-        entry, name, origin = resolved or self._cache_entry(params, budget)
+        entry, origin = resolved or self._lookup(target, budget, "cold")
         try:
-            payload = answer(entry, name)
+            payload = answer(entry, target.name)
         except _FLAT_CORRUPTION_ERRORS as exc:
-            entry, name, origin = self._recover_entry(params, budget, exc)
-            payload = answer(entry, name)
+            self._degrade(target.key, exc)
+            entry, origin = self._lookup(target, budget, "cold")
+            payload = answer(entry, target.name)
         payload["origin"] = origin
         return payload
 
-    def _recover_entry(
-        self, params: dict[str, Any], budget: Budget | None, cause: Exception
-    ) -> tuple[CacheEntry, str, str]:
-        source, _name = self._resolve_source(params)
-        options = AnalyzeOptions(
-            include_stdlib=bool(params.get("include_stdlib", True)),
-            memory_limit_mb=self.memory_limit_mb,
-        )
-        key = cache_key(source, options)
+    def _degrade(self, key: str, cause: Exception) -> None:
+        """Drop a cache entry whose flat walk failed, quarantine its
+        file and count the recompute the caller is about to run."""
         logger.warning(
             "query failed over flat artifact %s (%s: %s); degrading to "
             "cold re-analysis", key[:12], type(cause).__name__, cause,
@@ -782,7 +855,6 @@ class SliceServer:
             )
         with self._load_lock:
             self.degraded_recomputes += 1
-        return self._cache_entry(params, budget)
 
     @staticmethod
     def _slice_result(
@@ -822,16 +894,15 @@ class SliceServer:
                 groups[gkey] = item
                 order.append(gkey)
 
-        def analyze_group(
-            gkey: tuple[str, bool]
-        ) -> tuple[CacheEntry, str, str]:
-            first = groups[gkey]
-            gparams = {
-                "source": first["source"],
-                "filename": first["name"],
-                "include_stdlib": first["include_stdlib"],
-            }
-            return self._cache_entry(gparams, budget)
+        targets = {
+            gkey: self._target(
+                first["source"], first["name"], first["include_stdlib"]
+            )
+            for gkey, first in groups.items()
+        }
+
+        def analyze_group(gkey: tuple[str, bool]) -> tuple[CacheEntry, str]:
+            return self._lookup(targets[gkey], budget, "all")
 
         if len(order) > 1:
             with ThreadPoolExecutor(
@@ -844,19 +915,12 @@ class SliceServer:
             resolved = {order[0]: analyze_group(order[0])}
 
         def slice_item(item: dict[str, Any]) -> dict[str, Any]:
-            entry, _name, origin = resolved[
-                (item["source"], item["include_stdlib"])
-            ]
-            item_params = {
-                "source": item["source"],
-                "filename": item["name"],
-                "include_stdlib": item["include_stdlib"],
-            }
+            gkey = (item["source"], item["include_stdlib"])
             return self._serve(
-                item_params,
+                replace(targets[gkey], name=item["name"]),
                 budget,
                 lambda entry, name: self._slice_result(entry, name, item),
-                resolved=(entry, item["name"], origin),
+                resolved=resolved[gkey],
             )
 
         if len(items) > 1:
@@ -914,60 +978,42 @@ class SliceServer:
             )
         return items
 
-    def _method_explain(
-        self, params: dict[str, Any], budget: Budget | None
-    ) -> dict[str, Any]:
+    def _query_explain(self, params: dict[str, Any]) -> Answer:
         line = self._int_param(params, "line")
-        return self._serve(
-            params,
-            budget,
-            lambda entry, name: explain_payload(entry.view, program=name, line=line),
+        return lambda entry, name: explain_payload(
+            entry.view, program=name, line=line
         )
 
-    def _method_why(
-        self, params: dict[str, Any], budget: Budget | None
-    ) -> dict[str, Any]:
+    def _query_why(self, params: dict[str, Any]) -> Answer:
         source_line = self._int_param(params, "source_line")
         sink_line = self._int_param(params, "sink_line")
-        return self._serve(
-            params,
-            budget,
-            lambda entry, name: why_payload(
-                entry.view,
-                program=name,
-                source_line=source_line,
-                sink_line=sink_line,
-            ),
+        return lambda entry, name: why_payload(
+            entry.view,
+            program=name,
+            source_line=source_line,
+            sink_line=sink_line,
         )
 
-    def _method_chop(
-        self, params: dict[str, Any], budget: Budget | None
-    ) -> dict[str, Any]:
+    def _query_chop(self, params: dict[str, Any]) -> Answer:
         flavor = self._flavor_param(params)
         source_line = self._int_param(params, "source_line")
         sink_line = self._int_param(params, "sink_line")
-        return self._serve(
-            params,
-            budget,
-            lambda entry, name: chop_payload(
-                entry.view,
-                program=name,
-                source_line=source_line,
-                sink_line=sink_line,
-                flavor=flavor,
-            ),
+        return lambda entry, name: chop_payload(
+            entry.view,
+            program=name,
+            source_line=source_line,
+            sink_line=sink_line,
+            flavor=flavor,
+        )
+
+    def _query_stats(self, params: dict[str, Any]) -> Answer:
+        return lambda entry, name: stats_payload_from_counts(
+            entry.view.counts, program=name, timings=entry.timings
         )
 
     def _method_stats_rpc(
         self, params: dict[str, Any], budget: Budget | None
     ) -> dict[str, Any]:
-        if "source" in params or "program" in params:
-            entry, name, origin = self._cache_entry(params, budget)
-            payload = stats_payload_from_counts(
-                entry.view.counts, program=name, timings=entry.timings
-            )
-            payload["origin"] = origin
-            return payload
         return self.server_stats()
 
     def server_stats(self) -> dict[str, Any]:
@@ -991,6 +1037,7 @@ class SliceServer:
                 "shed_total": self.shed_total,
                 "cancelled_total": self.cancelled_total,
                 "degraded_recomputes": self.degraded_recomputes,
+                "log_dropped": self.request_log.dropped,
                 "timeout_s": self.timeout,
                 "executor": self.executor,
             }
@@ -1040,34 +1087,43 @@ class SliceServer:
             raise QueryError("BadParams", "'source' must be a string")
         return source, name
 
-    def _cache_entry(
-        self, params: dict[str, Any], budget: Budget | None
-    ) -> tuple[CacheEntry, str, str]:
-        source, name = self._resolve_source(params)
+    def _target(self, source: str, name: str, include_stdlib: bool) -> _Target:
+        """Key a query's program, behind the poison gate: a fingerprint
+        that has repeatedly killed workers is answered immediately — no
+        lookup, no worker dispatch, no respawn — breaking the
+        crash/respawn loop at the front door."""
         options = AnalyzeOptions(
-            include_stdlib=bool(params.get("include_stdlib", True)),
-            budget=budget,
-            memory_limit_mb=self.memory_limit_mb,
+            include_stdlib=include_stdlib, memory_limit_mb=self.memory_limit_mb
         )
-        # Poison gate: a fingerprint that has repeatedly killed workers
-        # is answered immediately — no analysis, no worker dispatch, no
-        # respawn — breaking the crash/respawn loop at the front door.
-        fingerprint = cache_key(source, options)
-        poisoned = self.quarantine.check(fingerprint)
+        key = cache_key(source, options)
+        poisoned = self.quarantine.check(key)
         if poisoned is not None:
             raise QueryError("PoisonInput", poisoned)
+        return _Target(source, name, options, key)
+
+    def _lookup(
+        self, target: _Target, budget: Budget | None, tiers: str
+    ) -> tuple[CacheEntry, str]:
+        """The target's cache entry and origin, from the given ``tiers``
+        of :meth:`AnalysisCache.get_entry`, feeding the quarantine and
+        the circuit breaker with what a cold analysis did."""
         use_process = (
             self.process_pool is not None and self.breaker.allow_process()
         )
         try:
             entry, origin = self.cache.get_entry(
-                source, name, options, executor_ok=use_process
+                target.source,
+                target.name,
+                replace(target.options, budget=budget),
+                executor_ok=use_process,
+                key=target.key,
+                tiers=tiers,
             )
         except WorkerCrashed as exc:
             # Both guards observe the crash: the quarantine attributes
             # it to this input, the breaker to pool health overall.
             self.quarantine.record_failure(
-                fingerprint, "WorkerCrashed", exc.message
+                target.key, "WorkerCrashed", exc.message
             )
             self.breaker.record_crash()
             raise
@@ -1075,7 +1131,7 @@ class SliceServer:
             # A resource kill poisons the input but does not trip the
             # breaker: the pool is healthy, the input is hungry.
             self.quarantine.record_failure(
-                fingerprint, "ResourceExceeded", str(exc)
+                target.key, "ResourceExceeded", str(exc)
             )
             raise
         if use_process and origin == "analyzed":
@@ -1083,7 +1139,7 @@ class SliceServer:
         if origin in ("analyzed", "incremental") and entry.timings:
             with self._pipeline_lock:
                 merge_timing_dicts(self._pipeline, entry.timings)
-        return entry, name, origin
+        return entry, origin
 
     @staticmethod
     def _flavor_param(params: dict[str, Any]) -> str:
@@ -1112,18 +1168,15 @@ class SliceServer:
         with self._stats_lock:
             stats = self._method_stats.setdefault(method, MethodStats())
             stats.record(latency_ms, ok, timed_out)
-        logger.info(
-            "%s",
-            json.dumps(
-                {
-                    "event": "request",
-                    "method": method,
-                    "ok": ok,
-                    "timed_out": timed_out,
-                    "latency_ms": round(latency_ms, 3),
-                },
-                sort_keys=True,
-            ),
+        self.request_log.append(
+            {
+                "event": "request",
+                "method": method,
+                "ok": ok,
+                "timed_out": timed_out,
+                "latency_ms": round(latency_ms, 3),
+                "endpoint": self.endpoint,
+            }
         )
 
     def _scrub_loop(self) -> None:
@@ -1148,6 +1201,7 @@ class SliceServer:
         self._pool.shutdown(wait=False, cancel_futures=True)
         if self.process_pool is not None:
             self.process_pool.close()
+        self.request_log.close()
 
 
 # ----------------------------------------------------------------------
@@ -1294,13 +1348,15 @@ def serve_tcp(server: SliceServer, host: str = "127.0.0.1", port: int = 7341) ->
     """Serve until a ``shutdown`` request (or KeyboardInterrupt)."""
     tcp_server, thread = start_tcp_server(server, host, port)
     bound_host, bound_port = tcp_server.server_address[:2]
-    logger.info(
-        "%s",
-        json.dumps(
-            {"event": "listening", "host": bound_host, "port": bound_port},
-            sort_keys=True,
-        ),
+    server.endpoint = f"{bound_host}:{bound_port}"
+    listening = json.dumps(
+        {"event": "listening", "host": bound_host, "port": bound_port},
+        sort_keys=True,
     )
+    logger.info("%s", listening)
+    # The port report a spawning ShardPool reads: a shard's stderr is
+    # its log, shared with the whole tier.
+    print(listening, flush=True)
     try:
         thread.join()
     except KeyboardInterrupt:

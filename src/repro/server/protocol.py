@@ -73,14 +73,15 @@ def slice_payload(
     flavor: str,
     context: int = 0,
 ) -> dict[str, Any]:
+    lines = result.lines
     return {
         "program": program,
         "flavor": flavor,
         "seed_line": line,
         "seed_count": len(result.seeds),
-        "lines": sorted(result.lines),
-        "line_count": len(result.lines),
-        "statement_count": len(result.statements),
+        "lines": sorted(lines),
+        "line_count": len(lines),
+        "statement_count": result.statement_count,
         "source_view": result.source_view(context=context),
     }
 

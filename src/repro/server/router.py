@@ -66,6 +66,7 @@ from repro.frontend import source_fingerprint
 from repro.server.client import RETRYABLE, ServerError
 from repro.server.daemon import MethodStats, decode_request_line, start_tcp_server
 from repro.server.faults import FaultPlan
+from repro.server.requestlog import RequestLog
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -112,12 +113,16 @@ class Router:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         fault_plan: FaultPlan | None = None,
+        request_log: RequestLog | None = None,
     ) -> None:
         self.pool = pool
         self.ring = HashRing(pool.addresses(), replicas=replicas)
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.fault_plan = fault_plan
+        self.request_log = (
+            request_log if request_log is not None else RequestLog(None)
+        )
         self.started = time.time()
         self.shutting_down = False
         self.address: tuple[str, int] | None = None
@@ -543,6 +548,7 @@ class Router:
                 "shed_total": self.shed_total,
                 "read_repairs": self.read_repairs,
                 "deadline_expired_total": self.deadline_expired_total,
+                "log_dropped": self.request_log.dropped,
                 "max_inflight": self.max_inflight,
                 "max_queue": self.max_queue,
             }
@@ -626,17 +632,13 @@ class Router:
         with self._stats_lock:
             stats = self._method_stats.setdefault(method, MethodStats())
             stats.record(latency_ms, ok, False)
-        logger.info(
-            "%s",
-            json.dumps(
-                {
-                    "event": "route",
-                    "method": method,
-                    "ok": ok,
-                    "latency_ms": round(latency_ms, 3),
-                },
-                sort_keys=True,
-            ),
+        self.request_log.append(
+            {
+                "event": "route",
+                "method": method,
+                "ok": ok,
+                "latency_ms": round(latency_ms, 3),
+            }
         )
 
     # ------------------------------------------------------------------
@@ -660,6 +662,7 @@ class Router:
             self._tcp.shutdown()
             self._tcp.server_close()
         self.pool.stop()
+        self.request_log.close()
 
     def start(
         self, host: str = "127.0.0.1", port: int = 0

@@ -9,8 +9,10 @@ service:
 * **Attachment** — :meth:`ShardPool.attach` registers an externally
   managed daemon by address; :meth:`ShardPool.spawn_local` forks local
   shard processes on ephemeral ports (reading the bound port back from
-  the daemon's structured ``listening`` log line) so ``repro serve
-  --shards N`` starts a whole tier with one command.
+  the ``listening`` line the daemon prints on stdout) so ``repro serve
+  --shards N`` starts a whole tier with one command.  Spawned shards
+  write their own logs to the stderr they inherit; each request line
+  names its shard in ``endpoint``.
 * **Health** — a background probe thread calls the existing ``health``
   RPC on every shard each interval.  A shard is marked ``unhealthy``
   after ``failure_threshold`` consecutive failures — immediately when
@@ -231,7 +233,6 @@ class ShardPool:
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
         request_timeout: float = 30.0,
-        echo_shard_logs: bool = True,
         respawn: bool = True,
         repair_every: int = 0,
     ) -> None:
@@ -240,7 +241,6 @@ class ShardPool:
         self.failure_threshold = failure_threshold
         self.probe_interval_s = probe_interval_s
         self.request_timeout = request_timeout
-        self.echo_shard_logs = echo_shard_logs
         #: Trigger an anti-entropy ``repair`` pass on every shard each
         #: ``repair_every`` probe rounds (0 = never).  Only meaningful
         #: after :meth:`configure_replication`.
@@ -256,7 +256,6 @@ class ShardPool:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._probe_thread: threading.Thread | None = None
-        self._drains: list[threading.Thread] = []
         self._spawn_python: str = sys.executable
         self._spawn_serve_args: list[str] = []
 
@@ -283,10 +282,10 @@ class ShardPool:
         Each shard is ``python -m repro.cli serve --tcp 127.0.0.1:0``
         plus ``serve_args`` plus its own ``per_shard_args[i]`` (how the
         tier gives each shard a private store root); the bound port is
-        read back from the daemon's structured ``listening`` log line
-        on stderr, after which a drain thread forwards the shard's
-        remaining logs to this process's stderr.  Each shard remembers
-        its full arg list so respawns reproduce it exactly.
+        read back from the ``listening`` line the daemon prints on
+        stdout.  The shard inherits this process's stderr and writes
+        its logs there itself.  Each shard remembers its full arg list
+        so respawns reproduce it exactly.
         """
         self._spawn_python = python
         self._spawn_serve_args = list(serve_args or [])
@@ -305,7 +304,6 @@ class ShardPool:
                 request_timeout=self.request_timeout,
             )
             shard.serve_args = extra
-            self._start_drain(process, shard.address)
             with self._lock:
                 self._shards[shard.address] = shard
             spawned.append(shard)
@@ -320,8 +318,7 @@ class ShardPool:
             [self._spawn_python, "-m", "repro.cli", "serve", "--tcp", bind]
             + args,
             stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.PIPE,
             text=True,
         )
         try:
@@ -330,29 +327,23 @@ class ShardPool:
             process.kill()
             process.wait()
             raise
+        finally:
+            # The port is all a shard prints on stdout.
+            process.stdout.close()
         return process, port
-
-    def _start_drain(self, process: subprocess.Popen, address: str) -> None:
-        drain = threading.Thread(
-            target=self._drain_stderr,
-            args=(process, address, self.echo_shard_logs),
-            name=f"repro-shard-log-{address.rsplit(':', 1)[-1]}",
-            daemon=True,
-        )
-        drain.start()
-        self._drains.append(drain)
 
     @staticmethod
     def _await_listening(process: subprocess.Popen) -> int:
-        assert process.stderr is not None
+        assert process.stdout is not None
         deadline = time.monotonic() + SPAWN_TIMEOUT_S
         collected: list[str] = []
         while time.monotonic() < deadline:
-            line = process.stderr.readline()
+            line = process.stdout.readline()
             if not line:
                 raise ShardSpawnError(
                     "shard exited before listening "
-                    f"(exit code {process.poll()}): {''.join(collected)[-500:]}"
+                    f"(exit code {process.poll()}; its stderr has the "
+                    f"cause): {''.join(collected)[-500:]}"
                 )
             collected.append(line)
             try:
@@ -362,21 +353,6 @@ class ShardPool:
             if isinstance(event, dict) and event.get("event") == "listening":
                 return int(event["port"])
         raise ShardSpawnError("shard did not report a port in time")
-
-    @staticmethod
-    def _drain_stderr(
-        process: subprocess.Popen, address: str, echo: bool = True
-    ) -> None:
-        """Forward a spawned shard's logs so they are not lost (and so
-        the shard never blocks on a full stderr pipe).  With ``echo``
-        off the pipe is still drained, just silently."""
-        assert process.stderr is not None
-        try:
-            for line in process.stderr:
-                if echo:
-                    sys.stderr.write(f"[shard {address}] {line}")
-        except (OSError, ValueError):
-            pass
 
     # ------------------------------------------------------------------
     # Lookup
@@ -521,7 +497,6 @@ class ShardPool:
                 )
                 shard.last_error = f"respawn failed: {exc}"
             return
-        self._start_drain(process, shard.address)
         with shard._lock:
             shard.process = process
             shard.respawns += 1
@@ -663,7 +638,6 @@ class ShardPool:
             with shard._lock:
                 shard.state = UNHEALTHY
             raise
-        self._start_drain(process, shard.address)
         with shard._lock:
             shard.process = process
             shard.respawns += 1

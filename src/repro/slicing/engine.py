@@ -99,13 +99,18 @@ class SliceResult:
         return self.traversal.statements()
 
     @property
+    def statement_count(self) -> int:
+        return len(self.statements)
+
+    @property
     def lines(self) -> set[int]:
         return set(self.traversal.lines())
 
     def source_view(self, context: int = 0) -> str:
         """Render the sliced source lines (with optional context lines)."""
         lines = self.compiled.source.lines()
-        chosen = set(self.lines)
+        marked = self.lines
+        chosen = set(marked)
         for line in list(chosen):
             for offset in range(1, context + 1):
                 chosen.add(line - offset)
@@ -113,7 +118,7 @@ class SliceResult:
         rows = []
         for lineno in sorted(chosen):
             if 1 <= lineno <= len(lines):
-                marker = "*" if lineno in self.lines else " "
+                marker = "*" if lineno in marked else " "
                 rows.append(f"{marker}{lineno:5d}  {lines[lineno - 1]}")
         return "\n".join(rows)
 

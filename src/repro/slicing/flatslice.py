@@ -10,7 +10,7 @@ touches only the pages holding the arrays it traverses; no
 
 :class:`FlatSliceResult` duck-types :class:`~repro.slicing.engine.
 SliceResult` for everything the server payloads consume — ``seeds``,
-``lines``, ``statements``, ``source_view`` — and is differentially
+``lines``, ``statement_count``, ``source_view`` — and is differentially
 tested to produce byte-identical ``slice`` payloads against the rich
 path on every suite program.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sdg.nodes import EdgeKind, THIN_KINDS, TRADITIONAL_KINDS
 from repro.artifact.view import EDGE_KINDS, ArtifactView
@@ -69,24 +70,32 @@ class FlatSliceResult:
         view = self.view
         return [n for n in self.traversal.order if view.is_statement(n)]
 
-    def _inspected_lines(self) -> list[int]:
-        """Distinct inspected lines in first-seen order (the flat twin
-        of :meth:`repro.slicing.engine.Traversal.lines`)."""
+    @cached_property
+    def _summary(self) -> tuple[set[int], int]:
+        """One scan of the traversal: the inspected line set (the flat
+        twin of :meth:`repro.slicing.engine.Traversal.lines`) and the
+        statement count.  Every statement counts as inspected, so the
+        statement test only runs on inspected nodes."""
         view = self.view
-        seen: set[int] = set()
-        result: list[int] = []
+        lines: set[int] = set()
+        statements = 0
         for node in self.traversal.order:
             if not view.counts_as_inspected(node):
                 continue
+            if view.is_statement(node):
+                statements += 1
             line = view.node_line(node)
-            if line > 0 and line not in seen:
-                seen.add(line)
-                result.append(line)
-        return result
+            if line > 0:
+                lines.add(line)
+        return lines, statements
 
     @property
     def lines(self) -> set[int]:
-        return set(self._inspected_lines())
+        return self._summary[0]
+
+    @property
+    def statement_count(self) -> int:
+        return self._summary[1]
 
     def source_view(self, context: int = 0) -> str:
         lines = self.view.source_lines()

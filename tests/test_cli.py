@@ -286,3 +286,29 @@ class TestServerRouting:
         with pytest.raises(SystemExit) as err:
             main(["stats", "figure2", "--server", "127.0.0.1:1"])
         assert "cannot reach server" in str(err.value)
+
+
+class TestShardServeArgs:
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_quiet_reaches_spawned_shards(self, quiet):
+        """Shards write their own logs, so ``serve --shards N --quiet``
+        must pass ``--quiet`` on to each of them."""
+        import argparse
+
+        from repro.cli import _shard_serve_args
+
+        args = argparse.Namespace(
+            memory_capacity=8,
+            timeout=30.0,
+            workers=2,
+            max_queue=32,
+            cache_dir=None,
+            no_disk_cache=True,
+            executor=None,
+            store_max_mb=None,
+            memory_limit_mb=None,
+            poison_threshold=None,
+            scrub_interval=None,
+            quiet=quiet,
+        )
+        assert ("--quiet" in _shard_serve_args(args)) is quiet
