@@ -38,7 +38,7 @@ from typing import Any
 from repro import analyze
 from repro.frontend import compile_source
 from repro.interp.interpreter import run_program
-from repro.suite.loader import load_source, program_names
+from repro.suite.loader import load_source, program_names, shipped_programs
 
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-server"
 
@@ -53,7 +53,7 @@ def _read_program(spec: str) -> tuple[str, str]:
             raise SystemExit(
                 f"error: cannot read {spec!r}: {reason}"
             ) from None
-    if spec in program_names():
+    if spec in shipped_programs():
         return load_source(spec), f"{spec}.mj"
     raise SystemExit(
         f"error: {spec!r} is neither a file nor a suite program "

@@ -28,6 +28,11 @@ import random
 #: tokenizer and parser edges.
 _PUNCT = "{}()[];,.=+-*/%!<>&|\"'"
 
+#: Non-ASCII characters outside MJ's ASCII lexical grammar: a letter, a
+#: superscript digit, an Arabic-Indic digit and a no-break space — each
+#: one ``str.isalpha``/``isdigit``/``isspace`` would accept.
+_NON_ASCII = "\u00e9\u00b2\u0661\u00a0"
+
 _KEYWORDS = (
     "class extends static void int boolean if else while for return "
     "break continue new this super null true false instanceof throw "
@@ -79,7 +84,10 @@ def _flip_char(rng: random.Random, lines: list[str]) -> list[str]:
     if not text:
         return lines
     pos = rng.randrange(len(text))
-    repl = chr(rng.randrange(32, 127))
+    if rng.random() < 0.1:
+        repl = rng.choice(_NON_ASCII)
+    else:
+        repl = chr(rng.randrange(32, 127))
     return (text[:pos] + repl + text[pos + 1:]).split("\n")
 
 

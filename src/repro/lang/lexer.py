@@ -1,14 +1,13 @@
 """Lexer for MJ.
 
-Two implementations share this module:
-
-* :class:`Lexer` — the original hand-written character-at-a-time
-  scanner, kept as the reference for rare constructs (char literals,
-  malformed strings) so error positions and messages stay identical;
-* a compiled-regex fast path used by :func:`tokenize`, which scans
-  whitespace runs, comments, words, numbers, well-formed strings, and
-  operators in one ``re`` match each — about 5x faster on the cold
-  analysis path (see ``docs/PERFORMANCE.md``).
+:func:`tokenize` scans the text with one compiled regex, one ``re``
+match per token or trivia run: whitespace, comments, words, integers,
+string and char literals, and operators.  The classes follow the ASCII
+grammar in ``docs/LANGUAGE.md``, so a character outside it (say ``é``
+or ``²``) is an ``unexpected character`` unless it sits inside a
+literal or a comment.  Where nothing matches, :func:`_lex_error` names
+the malformed token: an unterminated or badly escaped literal, or an
+unexpected character.
 
 Comments (``//`` and ``/* */``) are skipped, but ``//@tag:name`` markers
 remain visible to the suite loader because it reads the raw text (see
@@ -23,7 +22,7 @@ from repro.lang.errors import LexError
 from repro.lang.source import Position
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
-_TWO_CHAR_OPERATORS: dict[str, TokenKind] = {
+_OPERATORS: dict[str, TokenKind] = {
     "<=": TokenKind.LE,
     ">=": TokenKind.GE,
     "==": TokenKind.EQ,
@@ -34,9 +33,6 @@ _TWO_CHAR_OPERATORS: dict[str, TokenKind] = {
     "--": TokenKind.MINUS_MINUS,
     "+=": TokenKind.PLUS_ASSIGN,
     "-=": TokenKind.MINUS_ASSIGN,
-}
-
-_ONE_CHAR_OPERATORS: dict[str, TokenKind] = {
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     "{": TokenKind.LBRACE,
@@ -59,186 +55,31 @@ _ONE_CHAR_OPERATORS: dict[str, TokenKind] = {
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
 
-
-class Lexer:
-    """Converts MJ source text into a token stream."""
-
-    def __init__(self, text: str, filename: str = "<input>") -> None:
-        self._text = text
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole input, ending with a single EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self._at_end():
-                tokens.append(self._make(TokenKind.EOF, ""))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._text)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _position(self) -> Position:
-        return Position(self._line, self._col, self._filename)
-
-    def _make(self, kind: TokenKind, text: str) -> Token:
-        return Token(kind, text, self._position())
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._at_end():
-                return
-            if self._text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments, in any interleaving."""
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._position()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._at_end():
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            return self._lex_word()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "'":
-            return self._lex_char()
-        two = self._peek() + self._peek(1)
-        if two in _TWO_CHAR_OPERATORS:
-            token = self._make(_TWO_CHAR_OPERATORS[two], two)
-            self._advance(2)
-            return token
-        if ch in _ONE_CHAR_OPERATORS:
-            token = self._make(_ONE_CHAR_OPERATORS[ch], ch)
-            self._advance()
-            return token
-        raise LexError(f"unexpected character {ch!r}", self._position())
-
-    def _lex_number(self) -> Token:
-        start = self._position()
-        begin = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek().isalpha():
-            raise LexError("identifier cannot start with a digit", start)
-        return Token(TokenKind.INT_LITERAL, self._text[begin : self._pos], start)
-
-    def _lex_word(self) -> Token:
-        start = self._position()
-        begin = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._text[begin : self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, start)
-
-    def _lex_string(self) -> Token:
-        start = self._position()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self._at_end() or self._peek() == "\n":
-                raise LexError("unterminated string literal", start)
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                return Token(TokenKind.STRING_LITERAL, "".join(chars), start)
-            if ch == "\\":
-                self._advance()
-                escape = self._peek()
-                if escape not in _ESCAPES:
-                    raise LexError(f"bad escape \\{escape}", self._position())
-                chars.append(_ESCAPES[escape])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _lex_char(self) -> Token:
-        """Char literals are sugar for one-character strings in MJ."""
-        start = self._position()
-        self._advance()  # opening quote
-        if self._at_end():
-            raise LexError("unterminated char literal", start)
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            escape = self._peek()
-            if escape not in _ESCAPES:
-                raise LexError(f"bad escape \\{escape}", self._position())
-            ch = _ESCAPES[escape]
-        self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated char literal", start)
-        self._advance()
-        return Token(TokenKind.CHAR_LITERAL, ch, start)
-
-
-# ---------------------------------------------------------------------------
-# Fast path: one compiled regex per token, falling back to the reference
-# scanner for rare constructs so diagnostics stay byte-identical.
-# ---------------------------------------------------------------------------
-
-_OPERATORS: dict[str, TokenKind] = {**_TWO_CHAR_OPERATORS, **_ONE_CHAR_OPERATORS}
-
 #: Group order: 1 whitespace, 2 line comment, 3 block comment, 4 word,
-#: 5 int literal, 6 string literal, 7 operator (two-char before one-char
-#: for maximal munch; comments are listed before the ``/`` operator).
+#: 5 int literal, 6 string literal, 7 char literal, 8 operator (the keys
+#: of ``_OPERATORS``, two-char before one-char for maximal munch;
+#: comments are listed before the ``/`` operator).  A string closes on
+#: its own line; a char literal holds one character, a raw newline
+#: included, or one escape.
 _TOKEN_RE = re.compile(
     r"([ \t\r\n]+)"
     r"|(//[^\n]*)"
     r"|(/\*(?:[^*]|\*(?!/))*\*/)"
     r"|([A-Za-z_][A-Za-z0-9_]*)"
-    r"|(\d+)"
+    r"|([0-9]+)"
     r'|("(?:[^"\\\n]|\\[^\n])*")'
+    r"|('(?:[^\\]|\\[\s\S])')"
     r"|(<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|[(){}\[\];,.=+\-*/%!<>])"
 )
 
-_WS, _LINE_COMMENT, _BLOCK_COMMENT, _WORD, _NUMBER, _STRING, _OP = range(1, 8)
+_WS, _LINE_COMMENT, _BLOCK_COMMENT, _WORD, _NUMBER, _STRING, _CHAR, _OP = range(1, 9)
 
 
 def _decode_string(raw: str, line: int, start_col: int, filename: str) -> str:
-    """Decode the body of a matched string literal, validating escapes.
+    """Decode the body of a matched string or char literal.
 
-    ``raw`` includes both quotes; a bad escape raises at the escape
-    character's position, matching :meth:`Lexer._lex_string`.
+    ``raw`` includes both quotes and starts at column ``start_col`` of
+    ``line``; a bad escape raises at the escape character's position.
     """
     if "\\" not in raw:
         return raw[1:-1]
@@ -262,16 +103,42 @@ def _decode_string(raw: str, line: int, start_col: int, filename: str) -> str:
     return "".join(chars)
 
 
-def _slow_token(
-    text: str, filename: str, pos: int, line: int, col: int
-) -> tuple[Token, int, int, int]:
-    """Delegate one token to the reference scanner (rare constructs)."""
-    lexer = Lexer(text, filename)
-    lexer._pos = pos
-    lexer._line = line
-    lexer._col = col
-    token = lexer._next_token()
-    return token, lexer._pos, lexer._line, lexer._col
+def _lex_error(text: str, pos: int, position: Position) -> LexError:
+    """The diagnostic for ``text[pos]``, where no token matches.
+
+    A quote that opens no well-formed literal reports its first bad
+    escape (a string's up to the line break, a char literal's first
+    character) and otherwise is unterminated; any other character is
+    unexpected.
+    """
+    quote = text[pos]
+    if quote == '"':
+        kind = "string"
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+    elif quote == "'":
+        kind = "char"
+        end = min(pos + 2, len(text))
+    else:
+        return LexError(f"unexpected character {quote!r}", position)
+    index = pos + 1
+    while index < end:
+        if text[index] == "\\":
+            escape = text[index + 1 : index + 2]
+            if escape not in _ESCAPES:
+                return LexError(
+                    f"bad escape \\{escape}",
+                    Position(
+                        position.line,
+                        position.column + index + 1 - pos,
+                        position.filename,
+                    ),
+                )
+            index += 2
+        else:
+            index += 1
+    return LexError(f"unterminated {kind} literal", position)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
@@ -286,28 +153,12 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     while pos < length:
         match = match_at(text, pos)
         if match is None:
-            # Rare constructs and errors: char literals, unterminated
-            # strings, unknown characters, unterminated block comments.
-            ch = text[pos]
-            if ch == '"':
-                # The only way a string fails the regex is not closing
-                # on its own line, but let the reference scanner decide
-                # (it distinguishes bad escapes at a line break).
-                token, pos, line, col = _slow_token(
-                    text, filename, pos, line, pos - line_start + 1
-                )
-                line_start = pos - (col - 1)
-                append(token)
-                continue
-            token, pos, line, col = _slow_token(
-                text, filename, pos, line, pos - line_start + 1
+            raise _lex_error(
+                text, pos, Position(line, pos - line_start + 1, filename)
             )
-            line_start = pos - (col - 1)
-            append(token)
-            continue
         group = match.lastindex
         end = match.end()
-        if group == _WS:
+        if group == _WS or group == _BLOCK_COMMENT:
             newlines = text.count("\n", pos, end)
             if newlines:
                 line += newlines
@@ -315,13 +166,6 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             pos = end
             continue
         if group == _LINE_COMMENT:
-            pos = end
-            continue
-        if group == _BLOCK_COMMENT:
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
             pos = end
             continue
         column = pos - line_start + 1
@@ -339,14 +183,20 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             if end < length and text[end].isalpha():
                 raise LexError("identifier cannot start with a digit", position)
             append(Token(TokenKind.INT_LITERAL, match.group(_NUMBER), position))
-        elif group == _STRING:
+        elif group == _STRING or group == _CHAR:
+            raw = match.group(group)
             append(
                 Token(
-                    TokenKind.STRING_LITERAL,
-                    _decode_string(match.group(_STRING), line, column, filename),
+                    TokenKind.STRING_LITERAL
+                    if group == _STRING
+                    else TokenKind.CHAR_LITERAL,
+                    _decode_string(raw, line, column, filename),
                     Position(line, column, filename),
                 )
             )
+            if raw == "'\n'":  # the one literal that spans a line break
+                line += 1
+                line_start = pos + 2
         else:  # operator
             op = match.group(_OP)
             if op == "/" and end < length and text[end] == "*":

@@ -1073,9 +1073,13 @@ class SliceServer:
                 raise QueryError(
                     "BadParams", "need 'source' text or a 'program' name"
                 )
-            from repro.suite.loader import load_source, program_names
+            from repro.suite.loader import (
+                load_source,
+                program_names,
+                shipped_programs,
+            )
 
-            if program not in program_names():
+            if program not in shipped_programs():
                 raise QueryError(
                     "UnknownProgram",
                     f"{program!r} is not a suite program "

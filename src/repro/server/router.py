@@ -232,18 +232,16 @@ class Router:
     @staticmethod
     def _source_text(params: dict[str, Any]) -> str | None:
         """The request's source text (``source``, or the named suite
-        ``program``), or ``None`` when the params do not name one."""
+        ``program``), or ``None`` when the params name none — an unknown
+        program included, which the shard answers as ``UnknownProgram``."""
         source = params.get("source")
         if source is None:
-            program = params.get("program")
-            if not isinstance(program, str):
-                return None
-            try:
-                from repro.suite.loader import load_source
+            from repro.suite.loader import load_source, shipped_programs
 
-                source = load_source(program)
-            except OSError:
+            program = params.get("program")
+            if not isinstance(program, str) or program not in shipped_programs():
                 return None
+            source = load_source(program)
         return source if isinstance(source, str) else None
 
     def _routing_key(self, params: dict[str, Any]) -> str | None:

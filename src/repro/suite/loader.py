@@ -8,11 +8,21 @@ from pathlib import Path
 _PROGRAMS_DIR = Path(__file__).parent / "programs"
 
 
-def program_names() -> list[str]:
-    """All shipped program names (file stems), stdlib excluded."""
-    return sorted(
+@lru_cache(maxsize=None)
+def shipped_programs() -> frozenset[str]:
+    """All shipped program names (file stems), stdlib excluded.
+
+    Package data is fixed for the process, so the directory is globbed
+    once.
+    """
+    return frozenset(
         p.stem for p in _PROGRAMS_DIR.glob("*.mj") if p.stem != "stdlib"
     )
+
+
+def program_names() -> list[str]:
+    """All shipped program names, sorted."""
+    return sorted(shipped_programs())
 
 
 @lru_cache(maxsize=None)

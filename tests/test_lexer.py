@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.lang.errors import LexError
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import _OPERATORS, tokenize
 from repro.lang.tokens import KEYWORDS, TokenKind
 
 
@@ -99,6 +101,11 @@ class TestOperators:
     def test_two_char_operators(self, text, kind):
         assert kinds(text) == [kind]
 
+    @pytest.mark.parametrize("text,kind", sorted(_OPERATORS.items()))
+    def test_every_operator_lexes_to_its_kind(self, text, kind):
+        tokens = tokenize(text)
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [(kind, text)]
+
     def test_maximal_munch(self):
         # '<=' lexes as one token, not '<' '='.
         assert kinds("a<=b") == [TokenKind.IDENT, TokenKind.LE, TokenKind.IDENT]
@@ -154,6 +161,59 @@ class TestPositions:
         assert tokens[0].position.line == 2
 
 
+class TestDiagnostics:
+    """Messages and positions of malformed input, pinned."""
+
+    @pytest.mark.parametrize(
+        "text,where,message",
+        [
+            ("''", (1, 1), "unterminated char literal"),
+            ("'\\q'", (1, 3), "bad escape \\q"),
+            ("'a", (1, 1), "unterminated char literal"),
+            ('"abc\\', (1, 6), "bad escape \\"),
+            ("'\\", (1, 3), "bad escape \\"),
+            ('x = "ab\ncd"', (1, 5), "unterminated string literal"),
+            ("1\u00e9", (1, 1), "identifier cannot start with a digit"),
+            ("a \u00e9", (1, 3), "unexpected character '\u00e9'"),
+            ("int y = \u00b2;", (1, 9), "unexpected character '\u00b2'"),
+        ],
+    )
+    def test_diagnostic(self, text, where, message):
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        position = info.value.position
+        assert (position.line, position.column) == where
+        assert info.value.message == message
+
+    def test_char_literal_may_hold_a_raw_newline(self):
+        tokens = tokenize("'\n' y")
+        assert [
+            (t.kind, t.text, t.position.line, t.position.column)
+            for t in tokens[:-1]
+        ] == [
+            (TokenKind.CHAR_LITERAL, "\n", 1, 1),
+            (TokenKind.IDENT, "y", 2, 3),
+        ]
+
+    def test_non_ascii_letter_ends_no_identifier(self):
+        # The grammar's identifiers are ASCII: 'a\u00e9' is not one word.
+        with pytest.raises(LexError) as info:
+            tokenize("a\u00e9 b")
+        position = info.value.position
+        assert (position.line, position.column) == (1, 2)
+
+    def test_non_ascii_inside_literals_and_comments_is_text(self):
+        tokens = tokenize('"\u00e9\u00b2" \'\u00e9\' // \u0661\n/* \u00a0 */ x')
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (TokenKind.STRING_LITERAL, "\u00e9\u00b2"),
+            (TokenKind.CHAR_LITERAL, "\u00e9"),
+            (TokenKind.IDENT, "x"),
+        ]
+
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_WORD_KINDS = {TokenKind.IDENT, *KEYWORDS.values()}
+
 _IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
     lambda s: s not in KEYWORDS
 )
@@ -185,6 +245,18 @@ class TestLexerProperties:
         token = tokenize('"' + content + '"')[0]
         assert token.kind is TokenKind.STRING_LITERAL
         assert token.text == content
+
+    @given(st.text())
+    def test_words_and_numbers_follow_the_ascii_grammar(self, text):
+        try:
+            tokens = tokenize(text)
+        except LexError:
+            return
+        for token in tokens:
+            if token.kind in _WORD_KINDS:
+                assert _WORD.fullmatch(token.text), token
+            elif token.kind is TokenKind.INT_LITERAL:
+                assert re.fullmatch("[0-9]+", token.text), token
 
     @given(st.lists(_IDENT, min_size=1, max_size=10))
     def test_lexing_is_deterministic(self, names):

@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import repro.server.cache as cache_module
 from repro import AnalyzeOptions
@@ -196,6 +197,27 @@ class TestInlineHits:
             assert [tiers for tiers, _ in lookups] == ["warm", "cold"]
             assert lookups[0][1] == threading.current_thread().name
             assert lookups[1][1].startswith("repro-query")
+        finally:
+            server.close()
+
+
+class TestProgramNames:
+    def test_program_requests_do_not_glob_the_programs_directory(
+        self, monkeypatch
+    ):
+        globs = []
+        real_glob = Path.glob
+
+        def counting_glob(self, *args, **kwargs):
+            globs.append(self)
+            return real_glob(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        server = make_server(AnalysisCache(), executor="thread")
+        try:
+            for _ in range(100):
+                assert rpc(server, "slice", program="figure2", line=SEED_LINE)["ok"]
+            assert len(globs) <= 1
         finally:
             server.close()
 

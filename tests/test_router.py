@@ -201,6 +201,18 @@ class TestRouting:
         by_source = tier.router._routing_key({"source": source})
         assert by_name == by_source
 
+    def test_path_named_program_has_no_source(self):
+        """A ``program`` that is not a shipped name reads no file."""
+        assert Router._source_text({"program": "../programs/figure1"}) is None
+        assert Router._source_text({"program": "stdlib"}) is None
+
+    def test_unknown_program_answered_by_a_shard(self, tier):
+        response = route(
+            tier.router, "slice", program="../programs/figure1", line=1
+        )
+        assert response["error"]["type"] == "UnknownProgram"
+        assert response["error"]["endpoint"] in tier.backends
+
     def test_include_stdlib_changes_key(self, tier):
         source = load_source("figure2")
         with_std = tier.router._routing_key({"source": source})
