@@ -6,8 +6,8 @@ so every task pays the full pipeline) runs two ways:
 * **thread** — N daemon-style threads calling ``repro.analyze``
   directly; the GIL serializes them, so N threads ≈ 1x;
 * **process** — the same N-wide fan-out dispatching to a warmed
-  :class:`repro.parallel.ProcessPool`, which is what the daemon's
-  ``--executor process`` mode does on a cold cache miss.
+  :class:`repro.parallel.ProcessPool`, which is what the daemon does
+  on a cold cache miss when ``--workers`` is above 1.
 
 Also measures the batched-RPC win: one ``slice_batch`` round trip for
 many seeds vs the same seeds as individual ``slice`` requests.

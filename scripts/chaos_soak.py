@@ -46,10 +46,8 @@ import os
 import random
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -63,6 +61,8 @@ from repro.server.faults import (  # noqa: E402
     truncate_artifact,
 )
 from repro.suite.loader import load_source  # noqa: E402
+
+from _tier import spawn_tier, stop_tier  # noqa: E402
 
 PROBE_INTERVAL_S = 0.3
 SOURCE_VARIANTS = 6
@@ -80,42 +80,6 @@ class Violation(Exception):
     def __init__(self, message: str, record: dict) -> None:
         super().__init__(message)
         self.record = record
-
-
-def spawn_tier(extra: list[str], cache_dir: str) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ, REPRO_CACHE_DIR=cache_dir)
-    env.setdefault("PYTHONPATH", "src")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--tcp", "127.0.0.1:0"]
-        + extra,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    deadline = time.monotonic() + 90
-    port = None
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        if not line:
-            raise SystemExit(
-                f"FAIL: tier exited early (code {process.poll()})"
-            )
-        try:
-            event = json.loads(line.split("] ", 1)[-1])
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "listening" and (
-            "--shards" not in extra or event.get("role") == "router"
-        ):
-            port = int(event["port"])
-            break
-    if port is None:
-        raise SystemExit("FAIL: tier did not report a port in time")
-    # Keep draining logs so no child blocks on a full stderr pipe.
-    threading.Thread(
-        target=lambda: [None for _ in process.stderr], daemon=True
-    ).start()
-    return process, port
 
 
 def artifact_files(cache_dir: str) -> list[Path]:
@@ -194,7 +158,7 @@ def run_phase_a(
     corpus_dir: str,
 ) -> None:
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-a-")
-    tier, port = spawn_tier(
+    tier, port, _ = spawn_tier(
         [
             "--workers",
             "1",
@@ -242,9 +206,7 @@ def run_phase_a(
             f"store {store}"
         )
     finally:
-        if tier.poll() is None:
-            tier.kill()
-            tier.wait()
+        stop_tier(tier)
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
@@ -256,7 +218,7 @@ def run_phase_b(
     corpus_dir: str,
 ) -> None:
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-b-")
-    tier, port = spawn_tier(
+    tier, port, _ = spawn_tier(
         [
             "--shards",
             "2",
@@ -323,9 +285,7 @@ def run_phase_b(
             f"respawns_total {health['respawns_total']}, 2/2 healthy"
         )
     finally:
-        if tier.poll() is None:
-            tier.kill()
-            tier.wait()
+        stop_tier(tier)
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
@@ -337,7 +297,7 @@ def run_phase_c(
     corpus_dir: str,
 ) -> None:
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-c-")
-    tier, port = spawn_tier(
+    tier, port, _ = spawn_tier(
         [
             "--shards",
             "2",
@@ -408,9 +368,7 @@ def run_phase_c(
             "zero wrong answers, 2/2 healthy"
         )
     finally:
-        if tier.poll() is None:
-            tier.kill()
-            tier.wait()
+        stop_tier(tier)
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 

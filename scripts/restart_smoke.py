@@ -20,11 +20,9 @@ Run from the repo root: ``PYTHONPATH=src python scripts/restart_smoke.py``
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -36,6 +34,8 @@ from repro.lang.source import marker_line  # noqa: E402
 from repro.server.client import ServerError, SliceClient  # noqa: E402
 from repro.suite.loader import load_source  # noqa: E402
 
+from _tier import spawn_tier, stop_tier  # noqa: E402
+
 PROBE_INTERVAL_S = 0.3
 WORKING_SET = 6
 WARM_ORIGINS = ("memory", "disk", "replica", "incremental")
@@ -44,21 +44,6 @@ WARM_ORIGINS = ("memory", "disk", "replica", "incremental")
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     raise SystemExit(1)
-
-
-def await_router_port(process: subprocess.Popen) -> int:
-    deadline = time.monotonic() + 90
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        if not line:
-            fail(f"tier exited early (code {process.poll()})")
-        try:
-            event = json.loads(line.split("] ", 1)[-1])
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "listening" and event.get("role") == "router":
-            return int(event["port"])
-    fail("router did not report a port in time")
 
 
 def warm_ratio(client: SliceClient, sources: list[str], seed: int) -> float:
@@ -73,16 +58,8 @@ def warm_ratio(client: SliceClient, sources: list[str], seed: int) -> float:
 
 def main() -> int:
     cache_dir = tempfile.mkdtemp(prefix="repro-restart-")
-    env = dict(os.environ, REPRO_CACHE_DIR=cache_dir)
-    env.setdefault("PYTHONPATH", "src")
-    tier = subprocess.Popen(
+    tier, port, _ = spawn_tier(
         [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--tcp",
-            "127.0.0.1:0",
             "--shards",
             "3",
             "--workers",
@@ -94,16 +71,9 @@ def main() -> int:
             "--probe-interval",
             str(PROBE_INTERVAL_S),
         ],
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
+        cache_dir,
     )
     try:
-        port = await_router_port(tier)
-        threading.Thread(
-            target=lambda: [None for _ in tier.stderr], daemon=True
-        ).start()
-
         base = load_source("figure2")
         seed = marker_line(base, "tag", "seed")
         sources = [f"{base}\n// restart {i}\n" for i in range(WORKING_SET)]
@@ -218,9 +188,7 @@ def main() -> int:
         print("PASS")
         return 0
     finally:
-        if tier.poll() is None:
-            tier.kill()
-            tier.wait()
+        stop_tier(tier)
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 

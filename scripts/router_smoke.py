@@ -23,10 +23,8 @@ from __future__ import annotations
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -34,6 +32,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.server.client import SliceClient  # noqa: E402
 from repro.suite.loader import load_source  # noqa: E402
 from repro.lang.source import marker_line  # noqa: E402
+
+from _tier import spawn_tier, stop_tier  # noqa: E402
 
 PROBE_INTERVAL_S = 0.3
 
@@ -43,33 +43,11 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def await_router_port(process: subprocess.Popen) -> int:
-    deadline = time.monotonic() + 90
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        if not line:
-            fail(f"tier exited early (code {process.poll()})")
-        try:
-            event = json.loads(line.split("] ", 1)[-1])
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "listening" and event.get("role") == "router":
-            return int(event["port"])
-    fail("router did not report a port in time")
-
-
 def main() -> int:
     cache_dir = tempfile.mkdtemp(prefix="repro-smoke-")
-    env = dict(os.environ, REPRO_CACHE_DIR=cache_dir)
-    env.setdefault("PYTHONPATH", "src")
-    tier = subprocess.Popen(
+    logs: list[str] = []
+    tier, port, reader = spawn_tier(
         [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--tcp",
-            "127.0.0.1:0",
             "--shards",
             "2",
             "--workers",
@@ -77,19 +55,10 @@ def main() -> int:
             "--probe-interval",
             str(PROBE_INTERVAL_S),
         ],
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
+        cache_dir,
+        logs,
     )
     try:
-        port = await_router_port(tier)
-        # Keep reading tier logs so no child blocks on a full pipe.
-        logs: list[str] = []
-        reader = threading.Thread(
-            target=lambda: logs.extend(tier.stderr), daemon=True
-        )
-        reader.start()
-
         base = load_source("figure2")
         seed = marker_line(base, "tag", "seed")
         with SliceClient.connect("127.0.0.1", port) as client:
@@ -188,9 +157,7 @@ def main() -> int:
         print("PASS")
         return 0
     finally:
-        if tier.poll() is None:
-            tier.kill()
-            tier.wait()
+        stop_tier(tier)
 
 
 if __name__ == "__main__":

@@ -66,6 +66,19 @@ def _read_program(spec: str) -> tuple[str, str]:
 # ----------------------------------------------------------------------
 
 
+def _positive(kind: type) -> Any:
+    """An argparse ``type``: parse ``kind``, reject values <= 0."""
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" text
+    return parse
+
+
 def _parse_hostport(spec: str) -> tuple[str, int]:
     host, _, port_text = spec.rpartition(":")
     if not host:
@@ -585,8 +598,6 @@ def _shard_serve_args(args: argparse.Namespace) -> list[str]:
         forwarded += ["--cache-dir", args.cache_dir]
     if args.no_disk_cache:
         forwarded += ["--no-disk-cache"]
-    if args.executor:
-        forwarded += ["--executor", args.executor]
     if args.store_max_mb is not None:
         forwarded += ["--store-max-mb", str(args.store_max_mb)]
     if args.memory_limit_mb is not None:
@@ -606,7 +617,6 @@ def _run_router(
     host: str,
     port: int,
     *,
-    replicas: int,
     max_inflight: int,
     max_queue: int,
     request_log: Any,
@@ -618,7 +628,6 @@ def _run_router(
         pool,
         host,
         port,
-        replicas=replicas,
         max_inflight=max_inflight,
         max_queue=max_queue,
         request_log=request_log,
@@ -670,8 +679,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "--rolling-restart HOST:PORT against a running router)"
         )
     request_log = _setup_server_logging(args.quiet)
-    if args.probe_interval <= 0:
-        raise SystemExit("error: --probe-interval must be positive")
     if args.failure_threshold < 1:
         raise SystemExit("error: --failure-threshold must be >= 1")
     pool = ShardPool(
@@ -687,7 +694,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         pool,
         host,
         port,
-        replicas=args.replicas,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         request_log=request_log,
@@ -747,7 +753,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
         pool = ShardPool(
             probe_interval_s=args.probe_interval,
-            respawn=not args.no_respawn,
             repair_every=repair_every,
         )
         try:
@@ -764,14 +769,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             and args.shards > 1
             and args.replicate > 1
         ):
-            pool.configure_replication(
-                args.replicate, ring_replicas=args.replicas
-            )
+            pool.configure_replication(args.replicate)
         return _run_router(
             pool,
             host,
             port,
-            replicas=args.replicas,
             max_inflight=args.workers * args.shards,
             max_queue=args.max_queue * args.shards,
             request_log=request_log,
@@ -812,7 +814,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout=timeout,
         workers=args.workers,
         max_queue=args.max_queue,
-        executor=args.executor or default_executor(args.workers),
+        executor=default_executor(args.workers),
         memory_limit_mb=memory_limit,
         quarantine=quarantine,
         scrub_interval_s=scrub_interval,
@@ -832,6 +834,15 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro", description="Thin slicing for MJ programs"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared by ``serve --shards`` and ``route``: both probe shards.
+    probing = argparse.ArgumentParser(add_help=False)
+    probing.add_argument(
+        "--probe-interval",
+        type=_positive(float),
+        default=1.0,
+        help="seconds between shard health probes (serve: --shards "
+        "mode; default: 1)",
+    )
 
     p_slice = sub.add_parser("slice", help="compute a slice from a line")
     p_slice.add_argument("file")
@@ -916,7 +927,9 @@ def main(argv: list[str] | None = None) -> int:
     p_stats.set_defaults(fn=_cmd_stats)
 
     p_serve = sub.add_parser(
-        "serve", help="run the analysis daemon (line-delimited JSON)"
+        "serve",
+        parents=[probing],
+        help="run the analysis daemon (line-delimited JSON)",
     )
     p_serve.add_argument(
         "--tcp", metavar="HOST:PORT", help="listen on TCP instead of stdio"
@@ -931,7 +944,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="keep analyses in memory only",
     )
-    p_serve.add_argument("--memory-capacity", type=int, default=8)
+    p_serve.add_argument("--memory-capacity", type=_positive(int), default=8)
     p_serve.add_argument(
         "--timeout",
         type=float,
@@ -940,16 +953,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=4,
-        help="analysis worker threads (default: 4)",
-    )
-    p_serve.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default=None,
-        help="where cold analyses run: worker threads (GIL-bound) or "
-        "worker processes (true multi-core; default when --workers > 1)",
+        help="analysis workers: cold analyses run in worker processes "
+        "when N > 1, else on one thread (default: 4)",
     )
     p_serve.add_argument(
         "--max-queue",
@@ -997,24 +1004,6 @@ def main(argv: list[str] | None = None) -> int:
         "consistent-hash router in front of them on --tcp",
     )
     p_serve.add_argument(
-        "--probe-interval",
-        type=float,
-        default=1.0,
-        help="seconds between shard health probes (--shards mode)",
-    )
-    p_serve.add_argument(
-        "--replicas",
-        type=int,
-        default=64,
-        help="virtual nodes per shard on the hash ring (--shards mode)",
-    )
-    p_serve.add_argument(
-        "--no-respawn",
-        action="store_true",
-        help="do not respawn locally spawned shards that die "
-        "(--shards mode; default is to respawn on the same port)",
-    )
-    p_serve.add_argument(
         "--replicate",
         type=int,
         default=2,
@@ -1034,6 +1023,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_route = sub.add_parser(
         "route",
+        parents=[probing],
         help="serve a consistent-hash router over externally managed "
         "shard daemons",
     )
@@ -1052,23 +1042,11 @@ def main(argv: list[str] | None = None) -> int:
         "reported by the structured `listening` log line)",
     )
     p_route.add_argument(
-        "--probe-interval",
-        type=float,
-        default=1.0,
-        help="seconds between shard health probes (default: 1)",
-    )
-    p_route.add_argument(
         "--failure-threshold",
         type=int,
         default=2,
         help="consecutive failures before a shard is marked unhealthy "
         "(default: 2)",
-    )
-    p_route.add_argument(
-        "--replicas",
-        type=int,
-        default=64,
-        help="virtual nodes per shard on the hash ring (default: 64)",
     )
     p_route.add_argument(
         "--max-inflight",

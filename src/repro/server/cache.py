@@ -12,7 +12,7 @@ Lookup order: memory → disk → replica → incremental →
 ``replica_fetch`` hook, installed by
 :class:`repro.server.replication.Replicator`) asks the other ring
 holders of the key for a copy before recomputing; fetched bytes are
-validated, persisted locally (read repair), and served with origin
+validated, persisted locally, and served with origin
 ``"replica"``.
 Every analysis result is promoted into both tiers, so a restarted
 process finds the artifact on disk and a long-lived process answers

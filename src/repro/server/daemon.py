@@ -90,7 +90,6 @@ from repro.server.replication import (
     encode_payload,
     validate_artifact,
 )
-from repro.server.ring import DEFAULT_REPLICAS
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -152,7 +151,6 @@ _INLINE_METHODS = frozenset(
         "get_artifact",
         "sync_offer",
         "replicate_config",
-        "replicate_key",
         "repair",
     }
 )
@@ -336,7 +334,6 @@ class SliceServer:
             "get_artifact": self._method_get_artifact,
             "sync_offer": self._method_sync_offer,
             "replicate_config": self._method_replicate_config,
-            "replicate_key": self._method_replicate_key,
             "repair": self._method_repair,
         }
 
@@ -748,17 +745,8 @@ class SliceServer:
             raise QueryError("BadParams", "'peers' must be a list of addresses")
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
             raise QueryError("BadParams", "'factor' must be a positive integer")
-        ring_replicas = params.get("ring_replicas", DEFAULT_REPLICAS)
-        if not isinstance(ring_replicas, int) or ring_replicas < 1:
-            raise QueryError("BadParams", "'ring_replicas' must be >= 1")
         old = self.replicator
-        replicator = Replicator(
-            store,
-            self_address,
-            list(peers),
-            factor=factor,
-            ring_replicas=ring_replicas,
-        )
+        replicator = Replicator(store, self_address, list(peers), factor=factor)
         self.replicator = replicator
         store.on_save = replicator.artifact_saved
         self.cache.replica_fetch = replicator.fetch
@@ -770,21 +758,6 @@ class SliceServer:
             "peers": len(replicator.ring) - 1,
             "factor": replicator.factor,
         }
-
-    def _method_replicate_key(
-        self, params: dict[str, Any], budget: Budget | None
-    ) -> dict[str, Any]:
-        """Read-repair trigger: re-fan one stored artifact out to its
-        designated holders (the router calls this after a failover read
-        served a key whose owner was down)."""
-        key = self._key_param(params)
-        if self.replicator is None:
-            return {"scheduled": False}
-        payload = self.cache.store.load_payload(key)
-        if payload is None:
-            raise QueryError("NotFound", f"no stored artifact for {key[:12]}")
-        self.replicator.artifact_saved(key, payload)
-        return {"scheduled": True}
 
     def _method_repair(
         self, params: dict[str, Any], budget: Budget | None

@@ -5,10 +5,12 @@ shard writing into one shared :class:`~repro.server.store.DiskStore`,
 each shard owns a private store and the :class:`Replicator` copies
 every artifact it writes to the next ``r - 1`` distinct shards
 clockwise on the same consistent-hash ring the router routes by
-(:meth:`repro.server.ring.HashRing.replicas_for`).  Because the
-replica set is a prefix of the router's failover order, a request that
-fails over lands — by construction — on a shard that already holds a
-warm copy of the artifact it needs.
+(:meth:`repro.server.ring.HashRing.replicas_for`; both rings have
+:data:`~repro.server.ring.DEFAULT_REPLICAS` virtual nodes per shard).
+For one key, the replica set is a prefix of the ring's failover order.
+The router walks the ring by source fingerprint and copies are placed
+by store key, so a failed-over request that misses locally is answered
+by the read-through fetch below.
 
 Three mechanisms, weakest first:
 
@@ -20,8 +22,8 @@ Three mechanisms, weakest first:
 * **Read-through fetch** (:meth:`Replicator.fetch`, installed as the
   cache's ``replica_fetch`` hook): on a local memory+disk miss, ask
   the other replica holders via ``get_artifact`` before recomputing.
-  Fetched bytes are validated against the key and persisted locally
-  (read repair), so a shard that lost its disk re-warms one request at
+  Fetched bytes are validated against the key, and the cache persists
+  them locally, so a shard that lost its disk re-warms one request at
   a time instead of re-analyzing.
 * **Anti-entropy repair** (:meth:`Replicator.repair`): walk the local
   store, and for every key this shard is a designated holder of, offer
@@ -29,6 +31,12 @@ Three mechanisms, weakest first:
   copies they are missing.  The shard pool's health-probe thread
   triggers this on a cadence, so a peer that was down during fan-out
   converges within a repair interval of coming back.
+
+Each peer is reached through a :class:`~repro.server.shardpool.Shard`,
+the router's own pooled client: concurrent pushes, fetches and repair
+passes each borrow a connection of their own, so a fetch never waits
+behind a slow push, and an answered error (``NotFound``) keeps its
+connection.
 
 Replication traffic rides the ordinary JSON-lines protocol (payloads
 base64-wrapped) and is answered on the daemon's introspection path —
@@ -47,8 +55,9 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.artifact import ArtifactError, ArtifactView
-from repro.server.client import ServerError, SliceClient
-from repro.server.ring import DEFAULT_REPLICAS, HashRing
+from repro.server.client import ServerError
+from repro.server.ring import HashRing
+from repro.server.shardpool import Shard
 
 if TYPE_CHECKING:
     from repro.server.store import DiskStore
@@ -102,20 +111,20 @@ class Replicator:
         self_address: str,
         peers: list[str],
         factor: int = DEFAULT_REPLICATION_FACTOR,
-        ring_replicas: int = DEFAULT_REPLICAS,
     ) -> None:
         self.store = store
         self.self_address = self_address
         self.factor = max(1, int(factor))
-        self.ring = HashRing(peers, replicas=ring_replicas)
+        self.ring = HashRing(peers)
         if self_address not in self.ring:
             self.ring.add(self_address)
-        self._clients: dict[str, SliceClient] = {}
-        # One connection per peer is shared by the push thread, request
-        # threads (fetch) and repair passes; its lock keeps each
-        # request/response exchange whole.
-        self._peer_locks: dict[str, threading.Lock] = {}
-        self._clients_lock = threading.Lock()
+        self._peers: dict[str, Shard] = {}
+        for address in self.ring.nodes():
+            if address != self_address:
+                host, port = address.rsplit(":", 1)
+                self._peers[address] = Shard(
+                    host, int(port), request_timeout=_PEER_TIMEOUT_S
+                )
         self._queue: queue.Queue[tuple[str, str, bytes] | None] = queue.Queue(
             maxsize=_QUEUE_CAP
         )
@@ -178,8 +187,8 @@ class Replicator:
                 )
 
     def _push(self, peer: str, key: str, payload: bytes) -> None:
-        self._request(
-            peer, "put_artifact", key=key, payload=encode_payload(payload)
+        self._peers[peer].call(
+            "put_artifact", {"key": key, "payload": encode_payload(payload)}
         )
 
     # ------------------------------------------------------------------
@@ -188,7 +197,7 @@ class Replicator:
 
     def fetch(self, key: str) -> bytes | None:
         """Ask the other holders of ``key`` for a copy; validated bytes
-        or None.  The caller persists them (read repair)."""
+        or None.  The caller persists them."""
         peers = self._peer_holders(key)
         if not peers:
             return None
@@ -196,7 +205,7 @@ class Replicator:
             self.replica_fetches += 1
         for peer in peers:
             try:
-                result = self._request(peer, "get_artifact", key=key)
+                result = self._peers[peer].call("get_artifact", {"key": key})
             except ServerError as exc:
                 if exc.error_type != "NotFound":
                     logger.warning(
@@ -233,7 +242,7 @@ class Replicator:
         pushed = errors = 0
         for peer, keys in offered.items():
             try:
-                result = self._request(peer, "sync_offer", keys=keys)
+                result = self._peers[peer].call("sync_offer", {"keys": keys})
                 missing = result.get("missing") or []
             except ServerError:
                 errors += 1
@@ -271,57 +280,6 @@ class Replicator:
             logger.warning("repair pass failed: %s", exc)
 
     # ------------------------------------------------------------------
-    # Peer connections
-    # ------------------------------------------------------------------
-
-    def _request(self, peer: str, method: str, **params: Any) -> dict[str, Any]:
-        """One exchange with ``peer`` over its shared connection, which
-        is dropped (and re-dialed by the next caller) on any failure."""
-        with self._clients_lock:
-            lock = self._peer_locks.setdefault(peer, threading.Lock())
-        with lock:
-            try:
-                return self._client(peer).request(method, retries=0, **params)
-            except ServerError:
-                self._drop_client(peer)
-                raise
-
-    def _client(self, peer: str) -> SliceClient:
-        with self._clients_lock:
-            client = self._clients.get(peer)
-            if client is None:
-                host, port_text = peer.rsplit(":", 1)
-                try:
-                    client = SliceClient.connect(
-                        host,
-                        int(port_text),
-                        timeout=_PEER_TIMEOUT_S,
-                        retries=0,
-                    )
-                except OSError as exc:
-                    # A peer mid-restart refuses/resets the dial; to
-                    # every caller that is the same "Disconnected" a
-                    # dead request connection produces.
-                    raise ServerError(
-                        "Disconnected",
-                        f"{type(exc).__name__}: {exc}",
-                        peer,
-                    ) from exc
-                self._clients[peer] = client
-            return client
-
-    def _drop_client(self, peer: str) -> None:
-        """Forget a peer connection after any failure; the next use
-        re-dials (the peer may have respawned on the same port)."""
-        with self._clients_lock:
-            client = self._clients.pop(peer, None)
-        if client is not None:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001
-                pass
-
-    # ------------------------------------------------------------------
     # Observability / lifecycle
     # ------------------------------------------------------------------
 
@@ -341,29 +299,11 @@ class Replicator:
                 "repair_pushed": self.repair_pushed,
             }
 
-    def drain(self, timeout_s: float = 5.0) -> bool:
-        """Best-effort wait for the fan-out queue to empty (tests and
-        drills; production never blocks on it)."""
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self._queue.empty():
-                return True
-            time.sleep(0.02)
-        return self._queue.empty()
-
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self._queue.put(None)
         self._worker.join(timeout=2.0)
-        with self._clients_lock:
-            clients = list(self._clients.values())
-            self._clients.clear()
-        for client in clients:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001
-                pass
+        for shard in self._peers.values():
+            shard.close_connections()

@@ -29,6 +29,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 
+#: Virtual nodes per shard.  The router and every shard's replicator
+#: build their rings with it, so they agree on each key's order.
 DEFAULT_REPLICAS = 64
 
 #: The ring coordinate space: the first 8 bytes of a SHA-256 digest.

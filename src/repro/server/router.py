@@ -38,8 +38,9 @@ Architecture:
   ``deadline``.  Structured shard errors (``BadParams``, ``Timeout``,
   ``MJError``...) are relayed verbatim, stamped with the shard's
   address in the error payload (``error.endpoint``) for debuggability.
-  An answer from a shard other than the first candidate triggers a
-  read repair of the key's replicas.
+  The ring has :data:`~repro.server.ring.DEFAULT_REPLICAS` virtual
+  nodes per shard, as every shard's replicator's does, so both agree
+  on any one key's order.
 * **Batch fan-out** — ``slice_batch`` items are grouped by owning
   shard, the sub-batches forwarded concurrently, and the merged result
   preserves request order; single-owner batches forward untouched so
@@ -75,7 +76,7 @@ from repro.server.protocol import (
     ok_response,
     slice_batch_payload,
 )
-from repro.server.ring import DEFAULT_REPLICAS, HashRing
+from repro.server.ring import HashRing
 from repro.server.shardpool import DRAINING, HEALTHY, ShardPool
 
 logger = logging.getLogger("repro.router")
@@ -109,14 +110,13 @@ class Router:
     def __init__(
         self,
         pool: ShardPool,
-        replicas: int = DEFAULT_REPLICAS,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         fault_plan: FaultPlan | None = None,
         request_log: RequestLog | None = None,
     ) -> None:
         self.pool = pool
-        self.ring = HashRing(pool.addresses(), replicas=replicas)
+        self.ring = HashRing(pool.addresses())
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.fault_plan = fault_plan
@@ -136,7 +136,6 @@ class Router:
         self.forwarded_total = 0
         self.failover_total = 0
         self.shed_total = 0
-        self.read_repairs = 0
         self.deadline_expired_total = 0
         # The TCP server and its accept thread (populated by start()).
         self._tcp: Any = None
@@ -361,10 +360,6 @@ class Router:
                         sort_keys=True,
                     ),
                 )
-                # The shard that answered may not be the key's owner:
-                # re-fan its stored artifact so the replica set heals
-                # without waiting for anti-entropy.
-                self._read_repair(address, params, key)
             return ok_response(request_id, result)
         assert last is not None
         response = error_response(
@@ -375,40 +370,6 @@ class Router:
         if last.endpoint:
             response["error"]["endpoint"] = last.endpoint
         return response
-
-    def _read_repair(
-        self, address: str, params: dict[str, Any], key: str | None
-    ) -> None:
-        """Fire-and-forget ``replicate_key`` after a failover-served
-        keyed request: the serving shard re-fans the artifact to the
-        key's designated holders.  Best-effort by design — anti-entropy
-        repair converges anything this misses."""
-        source = self._source_text(params) if key is not None else None
-        if source is None:
-            return
-        from repro import AnalyzeOptions
-        from repro.artifact import content_key
-
-        store_key = content_key(
-            source,
-            AnalyzeOptions(
-                include_stdlib=bool(params.get("include_stdlib", True))
-            ),
-        )
-        with self._stats_lock:
-            self.read_repairs += 1
-
-        def push() -> None:
-            try:
-                self.pool.shard(address).call(
-                    "replicate_key", {"key": store_key}
-                )
-            except Exception:  # noqa: BLE001
-                pass
-
-        threading.Thread(
-            target=push, name="repro-read-repair", daemon=True
-        ).start()
 
     def _rolling_restart(self, params: dict[str, Any]) -> dict[str, Any]:
         """Restart every spawned shard, one at a time, zero downtime.
@@ -544,7 +505,6 @@ class Router:
                 "forwarded_total": self.forwarded_total,
                 "failover_total": self.failover_total,
                 "shed_total": self.shed_total,
-                "read_repairs": self.read_repairs,
                 "deadline_expired_total": self.deadline_expired_total,
                 "log_dropped": self.request_log.dropped,
                 "max_inflight": self.max_inflight,

@@ -27,10 +27,11 @@ service:
   answered (a structured error included), so warm traffic pays no
   re-dial.  Transport failures discard the connection.
 * **Draining** — :meth:`ShardPool.stop` marks every shard draining (no
-  new requests are routed to it), politely asks *spawned* shards to
-  shut down via the ``shutdown`` RPC, and kills any that linger.
-  Externally attached shards are left running — they may be serving
-  other routers.
+  new requests are routed to it) and stops each *spawned* shard with
+  :meth:`Shard.stop_process`: the ``shutdown`` RPC, a wait, then a
+  kill for any that linger.  :meth:`ShardPool.restart_shard` stops a
+  shard the same way.  Externally attached shards are left running —
+  they may be serving other routers.
 * **Respawn** — a *spawned* shard whose process has exited is restarted
   by the probe thread on the **same port** (the consistent-hash ring is
   built from addresses once, so the reborn shard slots straight back
@@ -38,9 +39,12 @@ service:
   ``SO_REUSEADDR``, so the rebind wins over ``TIME_WAIT``).  Between
   death and respawn the ring's failover answers that shard's keys from
   its neighbors — zero failed requests, then the tier heals itself.
-  Exponential backoff caps the churn when a shard dies at startup
-  every time; externally attached shards are never respawned (their
-  lifecycle belongs to whoever started them).
+  The probe thread's heal and a rolling restart share one step,
+  :meth:`ShardPool._respawn`: spawn on the same port, count the
+  respawn, re-push the replication config, probe.  Exponential backoff
+  caps the churn when a shard dies at startup every time; externally
+  attached shards are never respawned (their lifecycle belongs to
+  whoever started them).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ import time
 from typing import Any
 
 from repro.server.client import ServerError, SliceClient
-from repro.server.ring import DEFAULT_REPLICAS
 
 #: Consecutive probe/forward failures before a shard is demoted.
 DEFAULT_FAILURE_THRESHOLD = 2
@@ -203,6 +206,27 @@ class Shard:
     def process_exited(self) -> bool:
         return self.process is not None and self.process.poll() is not None
 
+    def stop_process(self, timeout_s: float) -> None:
+        """Stop a spawned shard: the ``shutdown`` RPC, up to
+        ``timeout_s`` for the process to exit, then a kill.  Drops the
+        pooled connections; an attached or exited shard is left as is."""
+        self.close_connections()
+        if self.process is None or self.process.poll() is not None:
+            return
+        try:
+            client = self._dial(timeout=PROBE_TIMEOUT_S)
+            try:
+                client.shutdown()
+            finally:
+                client.close()
+        except ServerError:
+            pass
+        try:
+            self.process.wait(timeout=timeout_s)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+
     def snapshot(self) -> dict[str, Any]:
         """Cached state for the router's aggregated ``health`` view —
         never performs I/O, so the aggregate stays fast under failure."""
@@ -233,7 +257,6 @@ class ShardPool:
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
         request_timeout: float = 30.0,
-        respawn: bool = True,
         repair_every: int = 0,
     ) -> None:
         if failure_threshold < 1:
@@ -246,11 +269,6 @@ class ShardPool:
         #: after :meth:`configure_replication`.
         self.repair_every = repair_every
         self._replication: dict[str, Any] | None = None
-        #: Resurrect spawned shards whose process has exited (probes
-        #: notice the death; ``respawn=False`` restores the PR 6
-        #: demote-only behavior for drills that need a shard to stay
-        #: dead).
-        self.respawn = respawn
         self.respawns_total = 0
         self._shards: dict[str, Shard] = {}
         self._lock = threading.Lock()
@@ -429,7 +447,7 @@ class ShardPool:
                 f"shard process exited with code {shard.process.poll()}",
                 definitely_down=True,
             )
-            if self.respawn and not self._stop.is_set():
+            if not self._stop.is_set():
                 self._try_respawn(shard)
             return
         try:
@@ -474,21 +492,16 @@ class ShardPool:
     def _try_respawn(self, shard: Shard) -> None:
         """Resurrect a dead spawned shard on its original port.
 
-        Runs on the probe thread.  The shard keeps its ring identity —
-        same host:port, same :class:`Shard` object — so no ring rebuild
-        and no key reshuffle; only the process and its connections are
-        new.  A failed attempt backs off exponentially and leaves the
-        shard demoted; the next probe round tries again.
+        Runs on the probe thread.  A failed spawn backs off
+        exponentially and leaves the shard demoted; the next probe
+        round tries again.
         """
         now = time.monotonic()
         with shard._lock:
             if shard.process is None or now < shard.next_respawn_at:
                 return
-        shard.close_connections()
         try:
-            process, _port = self._spawn_process(
-                shard.address, shard.serve_args
-            )
+            self._respawn(shard, answer_within_s=0.0)
         except ShardSpawnError as exc:
             with shard._lock:
                 shard.respawn_failures += 1
@@ -496,7 +509,25 @@ class ShardPool:
                     shard.respawn_failures
                 )
                 shard.last_error = f"respawn failed: {exc}"
-            return
+
+    def _respawn(
+        self, shard: Shard, answer_within_s: float
+    ) -> dict[str, Any] | None:
+        """Spawn ``shard`` again on its own port with its own args.
+
+        The one respawn step of the probe thread's heal and of
+        :meth:`restart_shard`.  The shard keeps its ring identity —
+        same host:port, same :class:`Shard` object — so no ring rebuild
+        and no key reshuffle; only the process and its connections are
+        new.  The reborn shard gets the tier's replication config before
+        any traffic lands on it, then is probed until it answers (for at
+        most ``answer_within_s``): an answer promotes it to healthy and
+        is returned; silence demotes it and returns None.  Raises
+        :class:`ShardSpawnError` if the process never reports its port.
+        """
+        now = time.monotonic()
+        shard.close_connections()
+        process, _port = self._spawn_process(shard.address, shard.serve_args)
         with shard._lock:
             shard.process = process
             shard.respawns += 1
@@ -507,25 +538,33 @@ class ShardPool:
             shard.next_respawn_at = now + RESPAWN_BACKOFF_S
         with self._lock:
             self.respawns_total += 1
-        # A reborn shard starts with an empty replication engine; push
-        # the tier's config before any traffic lands on it.
         self._push_replication(shard)
-        # Promote immediately if the reborn daemon answers: the ring
-        # should not wait a probe round to use a shard that is up.
-        try:
-            payload = shard.probe()
-        except ServerError as exc:
-            self.note_failure(shard.address, str(exc))
-        else:
-            self.note_success(shard.address, probe=payload)
+        deadline = time.monotonic() + answer_within_s
+        while True:
+            try:
+                payload = shard.probe()
+                break
+            except ServerError as exc:
+                if time.monotonic() >= deadline:
+                    with shard._lock:
+                        shard.state = UNHEALTHY
+                        shard.consecutive_failures += 1
+                        shard.last_error = str(exc)
+                    return None
+                time.sleep(0.1)
+        with shard._lock:
+            # A restarted shard is promoted out of its drain here too.
+            shard.state = HEALTHY
+            shard.consecutive_failures = 0
+            shard.last_probe = payload
+            shard.last_error = None
+        return payload
 
     # ------------------------------------------------------------------
     # Replication config (pushed, because shard ports are ephemeral)
     # ------------------------------------------------------------------
 
-    def configure_replication(
-        self, factor: int, ring_replicas: int = DEFAULT_REPLICAS
-    ) -> int:
+    def configure_replication(self, factor: int) -> int:
         """Push the replication topology to every shard.
 
         Runs after the whole tier is listening: the peer list is the
@@ -536,11 +575,7 @@ class ShardPool:
         with self._lock:
             addresses = sorted(self._shards)
         factor = max(1, min(int(factor), len(addresses)))
-        self._replication = {
-            "peers": addresses,
-            "factor": factor,
-            "ring_replicas": ring_replicas,
-        }
+        self._replication = {"peers": addresses, "factor": factor}
         accepted = 0
         for address in addresses:
             if self._push_replication(self.shard(address)):
@@ -554,12 +589,7 @@ class ShardPool:
         try:
             shard.call(
                 "replicate_config",
-                {
-                    "self_address": shard.address,
-                    "peers": config["peers"],
-                    "factor": config["factor"],
-                    "ring_replicas": config["ring_replicas"],
-                },
+                {"self_address": shard.address, **config},
             )
             return True
         except ServerError as exc:
@@ -588,10 +618,9 @@ class ShardPool:
         """Zero-downtime restart of one spawned shard.
 
         Drain (the router stops routing new work here) → wait for
-        in-flight requests to finish → polite ``shutdown`` → wait for
-        the process to exit → respawn on the **original port** with the
-        original args (same ring slot, same store root) → re-push
-        replication config → verify health.  Raises
+        in-flight requests to finish → :meth:`Shard.stop_process` →
+        :meth:`_respawn` on the **original port** with the original
+        args (same ring slot, same store root).  Raises
         :class:`ShardSpawnError` if the reborn shard never answers; the
         shard is left demoted so the probe thread's normal heal path
         owns it from there.
@@ -614,60 +643,19 @@ class ShardPool:
                 if not payload.get("busy") and not payload.get("queued"):
                     break
                 time.sleep(0.05)
-            shard.close_connections()
-            if shard.process.poll() is None:
-                try:
-                    client = shard._dial(timeout=5.0)
-                    try:
-                        client.shutdown()
-                    finally:
-                        client.close()
-                except ServerError:
-                    pass
-                try:
-                    shard.process.wait(timeout=drain_timeout_s)
-                except subprocess.TimeoutExpired:
-                    shard.process.kill()
-                    shard.process.wait()
-            process, _port = self._spawn_process(
-                shard.address, shard.serve_args
-            )
+            shard.stop_process(drain_timeout_s)
+            answer = self._respawn(shard, answer_within_s=drain_timeout_s)
         except Exception:
             # Leave the shard demoted (not draining) so probes resume
             # respawn attempts through the normal heal path.
             with shard._lock:
                 shard.state = UNHEALTHY
             raise
-        with shard._lock:
-            shard.process = process
-            shard.respawns += 1
-            shard.consecutive_respawns += 1
-            shard.last_respawn_ts = time.time()
-            shard._respawn_monotonic = time.monotonic()
-        with self._lock:
-            self.respawns_total += 1
-        self._push_replication(shard)
-        payload = None
-        last_error: ServerError | None = None
-        deadline = time.monotonic() + drain_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                payload = shard.probe()
-                break
-            except ServerError as exc:
-                last_error = exc
-                time.sleep(0.1)
-        if payload is None:
-            with shard._lock:
-                shard.state = UNHEALTHY
+        if answer is None:
             raise ShardSpawnError(
-                f"restarted shard {address} never answered health: {last_error}"
+                f"restarted shard {address} never answered health: "
+                f"{shard.last_error}"
             )
-        with shard._lock:
-            shard.state = HEALTHY
-            shard.consecutive_failures = 0
-            shard.last_probe = payload
-            shard.last_error = None
         return {
             "address": address,
             "pid": shard.process.pid,
@@ -696,19 +684,4 @@ class ShardPool:
             with shard._lock:
                 shard.state = DRAINING
         for shard in shards:
-            shard.close_connections()
-            if shard.process is None or shard.process.poll() is not None:
-                continue
-            try:
-                client = shard._dial(timeout=2.0)
-                try:
-                    client.shutdown()
-                finally:
-                    client.close()
-            except ServerError:
-                pass
-            try:
-                shard.process.wait(timeout=drain_timeout_s)
-            except subprocess.TimeoutExpired:
-                shard.process.kill()
-                shard.process.wait()
+            shard.stop_process(drain_timeout_s)

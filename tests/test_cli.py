@@ -304,7 +304,6 @@ class TestShardServeArgs:
             max_queue=32,
             cache_dir=None,
             no_disk_cache=True,
-            executor=None,
             store_max_mb=None,
             memory_limit_mb=None,
             poison_threshold=None,
@@ -312,3 +311,40 @@ class TestShardServeArgs:
             quiet=quiet,
         )
         assert ("--quiet" in _shard_serve_args(args)) is quiet
+
+
+class TestServeFlagValidation:
+    """Bad tier flags end in an argparse ``error:`` line before any
+    shard is spawned — no traceback, no spinning probe thread."""
+
+    @pytest.fixture(autouse=True)
+    def no_spawn(self, monkeypatch):
+        from repro.server.shardpool import ShardPool
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shard was spawned")
+
+        monkeypatch.setattr(ShardPool, "spawn_local", refuse)
+
+    TIER = ["serve", "--shards", "2", "--tcp", "127.0.0.1:0"]
+    ROUTE = ["route", "--shard", "127.0.0.1:1"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (TIER + ["--probe-interval", "0"], "--probe-interval"),
+            (TIER + ["--probe-interval", "-1"], "--probe-interval"),
+            (ROUTE + ["--probe-interval", "0"], "--probe-interval"),
+            (ROUTE + ["--probe-interval", "-0.5"], "--probe-interval"),
+            (["serve", "--workers", "0"], "--workers"),
+            (TIER + ["--workers", "0"], "--workers"),
+            (["serve", "--memory-capacity", "0"], "--memory-capacity"),
+        ],
+    )
+    def test_non_positive_value_is_an_error_line(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be positive" in err
+        assert "Traceback" not in err

@@ -19,8 +19,10 @@ PR 10's contract in four parts:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import select
+import socket
 import socketserver
 import sys
 import threading
@@ -300,6 +302,133 @@ class TestReplicatorPlacement:
             replicator.close()
 
 
+class TestRouterReplicatorAgreement:
+    def test_failover_order_starts_with_the_replica_holders(self, tmp_path):
+        """The router and every replicator build the same ring, so a
+        key's holders are the first candidates of its failover walk."""
+        addresses = [f"127.0.0.1:{7000 + i}" for i in range(4)]
+        pool = ShardPool()
+        for address in addresses:
+            host, port = address.rsplit(":", 1)
+            pool.attach(host, int(port))
+        router = Router(pool)
+        replicator = Replicator(
+            DiskStore(tmp_path), addresses[1], addresses, factor=2
+        )
+        try:
+            for index in range(50):
+                key = hashlib.sha256(str(index).encode()).hexdigest()
+                assert router.ring.preference(key)[:2] == replicator.holders(key)
+        finally:
+            replicator.close()
+            pool.stop()
+
+
+def _figure1_artifact() -> tuple[str, bytes]:
+    from repro import analyze
+    from repro.artifact.encode import encode_artifact
+
+    options = AnalyzeOptions()
+    source = load_source("figure1")
+    key = content_key(source, options)
+    return key, encode_artifact(analyze(source, options=options), key=key)
+
+
+class _ScriptedPeer:
+    """A fake replica peer on localhost that answers by method.
+
+    ``answer(method)`` gives the response body (``ok`` plus ``result``
+    or ``error``), or None to never answer.  The peer counts the
+    connections it accepts and records each method it receives.
+    """
+
+    def __init__(self, answer) -> None:
+        self.accepts = 0
+        self.received: list[str] = []
+        self._sockets: list[socket.socket] = []
+        peer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self) -> None:
+                peer.accepts += 1
+                peer._sockets.append(self.connection)
+                for line in self.rfile:
+                    request = json.loads(line)
+                    peer.received.append(request["method"])
+                    body = answer(request["method"])
+                    if body is not None:
+                        response = {"id": request["id"], **body}
+                        self.wfile.write((json.dumps(response) + "\n").encode())
+
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        host, port = self.server.server_address[:2]
+        self.address = f"{host}:{port}"
+
+    def close(self) -> None:
+        self.server.shutdown()
+        for sock in self._sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self.server.server_close()
+
+
+class TestPooledPeerClient:
+    ME = "127.0.0.1:1"  # never dialed: a replicator skips itself
+
+    def test_fetch_does_not_wait_behind_an_unanswered_push(self, tmp_path):
+        key, payload = _figure1_artifact()
+        stored = {
+            "ok": True,
+            "result": {"key": key, "payload": encode_payload(payload)},
+        }
+        peer = _ScriptedPeer(
+            lambda method: stored if method == "get_artifact" else None
+        )
+        replicator = Replicator(
+            DiskStore(tmp_path), self.ME, [self.ME, peer.address], factor=2
+        )
+        try:
+            replicator.artifact_saved(key, payload)
+            assert wait_until(lambda: "put_artifact" in peer.received)
+            start = time.monotonic()
+            fetched = replicator.fetch(key)
+            fetch_s = time.monotonic() - start
+        finally:
+            peer.close()
+            replicator.close()
+        assert fetched == payload
+        assert fetch_s < 2.0, fetch_s
+
+    def test_not_found_fetch_keeps_its_connection(self, tmp_path):
+        key, payload = _figure1_artifact()
+
+        def answer(method):
+            if method == "get_artifact":
+                return {
+                    "ok": False,
+                    "error": {"type": "NotFound", "message": "no artifact"},
+                }
+            return {"ok": True, "result": {"stored": True}}
+
+        peer = _ScriptedPeer(answer)
+        replicator = Replicator(
+            DiskStore(tmp_path), self.ME, [self.ME, peer.address], factor=2
+        )
+        try:
+            assert replicator.fetch(key) is None
+            replicator.artifact_saved(key, payload)
+            assert wait_until(lambda: replicator.stats()["replicated_total"] == 1)
+        finally:
+            peer.close()
+            replicator.close()
+        assert peer.received == ["get_artifact", "put_artifact"]
+        assert peer.accepts == 1
+
+
 class _SlowPeer:
     """A fake replica peer on localhost that holds one artifact.
 
@@ -347,15 +476,9 @@ class _SlowPeer:
 
 class TestSharedPeerConnection:
     def test_concurrent_fetches_and_pushes_to_one_slow_peer(self, tmp_path):
-        """The push thread and request threads share one connection per
-        peer; their request/response exchanges must not interleave."""
-        from repro import analyze
-        from repro.artifact.encode import encode_artifact
-
-        options = AnalyzeOptions()
-        source = load_source("figure1")
-        key = content_key(source, options)
-        payload = encode_artifact(analyze(source, options=options), key=key)
+        """The push thread and request threads reach one slow peer at
+        once; their request/response exchanges must not interleave."""
+        key, payload = _figure1_artifact()
         peer = _SlowPeer(key, payload, delay_s=0.1)
         me = "127.0.0.1:1"  # never dialed: a replicator skips itself
         replicator = Replicator(
@@ -686,6 +809,32 @@ class TestRespawnBackoff:
 
     def test_backoff_caps(self):
         assert _respawn_backoff(100) <= RESPAWN_BACKOFF_CAP_S * 1.5
+
+
+class TestRespawnKeepsReplication:
+    def test_probe_respawned_shard_reports_replication(self, tmp_path):
+        pool = ShardPool(probe_interval_s=30.0)  # probes driven manually
+        pool.spawn_local(
+            2,
+            ["--workers", "1", "--timeout", "30", "--quiet"],
+            per_shard_args=[
+                ["--cache-dir", str(tmp_path / f"shard-{i}")] for i in range(2)
+            ],
+        )
+        try:
+            assert pool.configure_replication(2) == 2
+            address = pool.addresses()[0]
+            old_pid = pool.shard(address).process.pid
+            assert pool.kill_shard(address)
+            pool.probe_all()
+            shard = pool.shard(address)
+            assert shard.process.pid != old_pid
+            assert pool.snapshot()[address]["state"] == "healthy"
+            replication = shard.probe()["replication"]
+            assert replication["self"] == address
+            assert replication["peers"] == 1
+        finally:
+            pool.stop()
 
 
 class TestRollingRestart:
