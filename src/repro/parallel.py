@@ -7,9 +7,11 @@ logic (admission, cancellation, counters) in the parent's threads:
 
 * **Spawn-safe** — workers are started with the ``spawn`` context, so a
   heavily threaded daemon never forks a copy of its own locks.  Workers
-  are warm: each survives across tasks, keeping the imported package
-  and the frontend's stdlib caches, so only the first task per worker
-  pays start-up cost.
+  are warm: each runs a tiny analysis before its ready handshake and
+  then freezes its heap out of the collector (:data:`WARMUP_SOURCE`,
+  :data:`GC_GEN0_THRESHOLD`), and survives across tasks, keeping the
+  imported package and the frontend's stdlib parse, so no task pays
+  start-up cost.
 * **Per-task deadline enforcement** — a :class:`repro.budget.Budget`
   cannot be polled across a process boundary, so the parent enforces it
   from outside: the thread waiting on a worker polls the budget between
@@ -40,6 +42,7 @@ drills and benchmarks still appreciate.)
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -74,6 +77,30 @@ _WAIT_SLICE_S = 0.05
 #: Exit code used by the injected ``worker_process_crash`` fault, so a
 #: drill-induced death is recognizable in logs.
 CRASH_EXIT_CODE = 23
+
+#: A tiny analysis each worker runs before its ready handshake.  It
+#: pays the lazy imports, the stdlib parse and every stage's first-call
+#: cost, so a fresh worker's first real task costs what later ones do.
+WARMUP_SOURCE = """
+class Main {
+  static void main(String[] args) {
+    Vector names = new Vector();
+    names.add(args[0]);
+    HashMap seen = new HashMap();
+    seen.put("name", names.get(0));
+    print((String) seen.get("name"));
+  }
+}
+"""
+
+#: Worker gen0 collection threshold (CPython's default is 700).  An
+#: analysis allocates hundreds of thousands of objects that stay live
+#: until it returns, so young collections mostly re-traverse them.
+#: With the warmed heap frozen, collector time per analysis of the
+#: warm_hot suite programs was 3.5 ms at 700, 1.7 ms at 10,000 and
+#: 0.4 ms at 50,000 (5.6 ms unfrozen); 50,000 raised max RSS by 2 MB
+#: (7%), 10,000 left it unchanged.
+GC_GEN0_THRESHOLD = 10_000
 
 #: Serializes the os.environ mutation around Process.start(): the
 #: ``spawn`` context passes the *current* environment to the child, so
@@ -120,6 +147,12 @@ def _worker_main(conn: multiprocessing.connection.Connection) -> None:
     """
     from repro.ir.instructions import reset_instruction_uids
 
+    analyze_artifact(WARMUP_SOURCE, "<warmup>")
+    # Everything alive now (modules, the stdlib parse, interned tables)
+    # lives as long as the worker: keep it out of every collection.
+    gc.collect()
+    gc.freeze()
+    gc.set_threshold(GC_GEN0_THRESHOLD)
     conn.send(("ready", os.getpid()))
     while True:
         try:
@@ -218,10 +251,6 @@ def analyze_artifact(
         from repro import AnalyzeOptions, analyze
         from repro.artifact import content_key, encode_artifact
 
-        # The frontend's stdlib AST cache bakes the filename string into
-        # positions it reuses across analyses; interning keeps a warm
-        # worker from mixing last task's string into this task's graph.
-        filename = sys.intern(filename)
         try:
             resolved = options or AnalyzeOptions()
             analyzed = analyze(source, filename, options=resolved)

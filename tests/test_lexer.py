@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from repro.lang.errors import LexError
 from repro.lang.lexer import _OPERATORS, tokenize
-from repro.lang.tokens import KEYWORDS, TokenKind
+from repro.lang.source import Position
+from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
 
 def kinds(text: str) -> list[TokenKind]:
@@ -159,6 +162,80 @@ class TestPositions:
     def test_position_after_block_comment(self):
         tokens = tokenize("/* a\nb */ x")
         assert tokens[0].position.line == 2
+
+
+class TestTokenRecords:
+    """``Position`` and ``Token`` behave as value records: equality,
+    hashing, ordering, text forms and pickling are pinned."""
+
+    def test_position_equality_and_hash(self):
+        a = Position(3, 4, "f.mj")
+        assert a == Position(line=3, column=4, filename="f.mj")
+        assert hash(a) == hash(Position(3, 4, "f.mj"))
+        assert a != Position(3, 5, "f.mj")
+        assert a != Position(4, 4, "f.mj")
+        assert a != Position(3, 4, "g.mj")
+        assert a != (3, 4, "f.mj")
+        assert Position(1, 1) == Position(1, 1, "<input>")
+        assert len({a, Position(3, 4, "f.mj"), Position(3, 4, "g.mj")}) == 2
+
+    def test_position_orders_by_line_column_filename(self):
+        unordered = [
+            Position(2, 1, "a.mj"),
+            Position(1, 9, "b.mj"),
+            Position(1, 9, "a.mj"),
+            Position(1, 2, "z.mj"),
+        ]
+        assert sorted(unordered) == [
+            Position(1, 2, "z.mj"),
+            Position(1, 9, "a.mj"),
+            Position(1, 9, "b.mj"),
+            Position(2, 1, "a.mj"),
+        ]
+        a, b = Position(1, 2, "f.mj"), Position(1, 3, "f.mj")
+        assert a < b and a <= b and b > a and b >= a
+        assert a <= Position(1, 2, "f.mj") >= a
+        with pytest.raises(TypeError):
+            _ = a < (1, 3, "f.mj")
+
+    def test_position_text_forms(self):
+        a = Position(3, 4, "f.mj")
+        assert str(a) == "f.mj:3:4"
+        assert repr(a) == "Position(line=3, column=4, filename='f.mj')"
+
+    def test_token_equality_and_hash(self):
+        a = Token(TokenKind.IDENT, "x", Position(1, 2, "f.mj"))
+        same = Token(
+            kind=TokenKind.IDENT, text="x", position=Position(1, 2, "f.mj")
+        )
+        assert a == same and hash(a) == hash(same)
+        assert a != Token(TokenKind.IDENT, "y", Position(1, 2, "f.mj"))
+        assert a != Token(TokenKind.INT_LITERAL, "x", Position(1, 2, "f.mj"))
+        assert a != Token(TokenKind.IDENT, "x", Position(1, 3, "f.mj"))
+        assert a != (TokenKind.IDENT, "x", Position(1, 2, "f.mj"))
+        with pytest.raises(TypeError):
+            _ = a < same
+
+    def test_token_text_forms(self):
+        a = Token(TokenKind.IDENT, "x", Position(1, 2, "f.mj"))
+        assert str(a) == "IDENT('x')@f.mj:1:2"
+        assert repr(a) == (
+            "Token(kind=<TokenKind.IDENT: 'identifier'>, text='x', "
+            "position=Position(line=1, column=2, filename='f.mj'))"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        tokens = tokenize("class A { int f; }\nx", "f.mj")
+        restored = pickle.loads(pickle.dumps(tokens, protocol))
+        assert restored == tokens
+        assert [str(t) for t in restored] == [str(t) for t in tokens]
+        assert type(restored[0].position) is Position
+
+    def test_copies_are_equal(self):
+        token = tokenize("abc", "f.mj")[0]
+        assert copy.copy(token) == token
+        assert copy.deepcopy(token) == token
 
 
 class TestDiagnostics:

@@ -127,9 +127,10 @@ def test_process_executor_beats_threads_on_cold_analyses():
     """Multi-core guard: ≥1.3x cold throughput at 2 process workers.
 
     Two threads running ``analyze`` serialize under the GIL; two worker
-    processes do not.  Salted sources keep every analysis cold, and the
-    pool is warmed first so the comparison measures analysis throughput,
-    not spawn/import cost (which a long-lived daemon pays once).
+    processes do not.  Salted sources keep every analysis cold, and
+    pool workers warm themselves up before their ready handshake, so
+    the comparison measures analysis throughput, not spawn/import cost
+    (which a long-lived daemon pays once).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -138,39 +139,42 @@ def test_process_executor_beats_threads_on_cold_analyses():
 
     base = load_source("minixml")
     tasks = 4
+    # Best of several rounds per side: a wall-clock ratio on a shared
+    # machine is only as good as its least-disturbed round.
+    rounds = 3
 
+    def salted(round_index, i):
+        return _salted(base, round_index * tasks + i)
+
+    thread_times = []
     with ThreadPoolExecutor(max_workers=2) as threads:
-        start = time.perf_counter()
-        list(
-            threads.map(
-                lambda i: analyze(_salted(base, i), f"salt{i}.mj"),
-                range(tasks),
-            )
-        )
-        thread_s = time.perf_counter() - start
-
-    with ProcessPool(workers=2) as pool:
-        pool.prestart(wait=True)
-        with ThreadPoolExecutor(max_workers=2) as fan:
-            # First task per worker pays the package import; warm both.
-            list(
-                fan.map(
-                    lambda i: pool.run(
-                        analyze_artifact, _salted(base, 1000 + i), "warm.mj"
-                    ),
-                    range(2),
-                )
-            )
+        for r in range(rounds):
             start = time.perf_counter()
             list(
-                fan.map(
-                    lambda i: pool.run(
-                        analyze_artifact, _salted(base, i), f"salt{i}.mj"
-                    ),
+                threads.map(
+                    lambda i: analyze(salted(r, i), f"salt{i}.mj"),
                     range(tasks),
                 )
             )
-            process_s = time.perf_counter() - start
+            thread_times.append(time.perf_counter() - start)
+    thread_s = min(thread_times)
+
+    process_times = []
+    with ProcessPool(workers=2) as pool:
+        pool.prestart(wait=True)
+        with ThreadPoolExecutor(max_workers=2) as fan:
+            for r in range(rounds):
+                start = time.perf_counter()
+                list(
+                    fan.map(
+                        lambda i: pool.run(
+                            analyze_artifact, salted(r, i), f"salt{i}.mj"
+                        ),
+                        range(tasks),
+                    )
+                )
+                process_times.append(time.perf_counter() - start)
+    process_s = min(process_times)
 
     assert process_s * 1.3 <= thread_s, (
         f"2 process workers took {process_s:.2f}s vs {thread_s:.2f}s for "
