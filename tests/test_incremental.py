@@ -22,6 +22,7 @@ from repro.incremental import (
     IncrementalSession,
     split_units,
 )
+from repro.lang.lexer import tokenize
 from repro.suite.loader import load_source, program_names
 from tests.conftest import make_server
 
@@ -236,6 +237,51 @@ def test_type_error_edit_declines_frontend():
         session.apply_edit("\n".join(lines))
     assert info.value.reason == "method-changed"
     _still_relocates(session, source)
+
+
+def test_line_shift_lexes_only_the_edited_source(monkeypatch):
+    """Units whose text did not change are compared without a lex: a
+    pure line shift lexes the edited source once, in its split."""
+    import repro.incremental as incremental
+
+    source = load_source("parsegen")
+    session = _session(source, AnalyzeOptions())
+    lexed = []
+
+    def counting_tokenize(text, filename="<input>"):
+        lexed.append(len(text))
+        return tokenize(text, filename)
+
+    monkeypatch.setattr(incremental, "tokenize", counting_tokenize)
+    shifted = "// shifted\n\n" + source
+    assert session.apply_edit(shifted).tier == "relocate"
+    assert lexed == [len(shifted)]
+
+
+def test_comment_inside_a_method_relocates():
+    """A comment that moves no token leaves its unit clean: only that
+    unit is lexed on its own, and the edit is relocated."""
+    source = load_source("figure1")
+    options = AnalyzeOptions()
+    unit = _method_spans(source)[0]
+    lines = source.split("\n")
+    lines[unit.start_line - 1] += "  // entry"
+    edited = "\n".join(lines)
+    outcome = _session(source, options).apply_edit(edited)
+    assert outcome.tier == "relocate"
+    assert outcome.payload == _cold_payload(edited, options)
+
+
+def test_reindented_method_declines():
+    """Moving a unit's first token to another column dirties the unit:
+    first-line columns are compared as they are, not relative."""
+    source = load_source("figure1")
+    unit = _method_spans(source)[0]
+    lines = source.split("\n")
+    lines[unit.start_line - 1] = " " + lines[unit.start_line - 1]
+    with pytest.raises(DeclinedError) as info:
+        _session(source, AnalyzeOptions()).apply_edit("\n".join(lines))
+    assert info.value.reason == "method-changed"
 
 
 # ---------------------------------------------------------------------------
